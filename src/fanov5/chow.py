@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .linalg import QQ, rref
+
 Scalar = Union[int, Fraction]
 
 
@@ -232,7 +234,6 @@ def ulrich_class(r: int) -> BundleClass:
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
     rows = []
-    rhs = []
     lead = Fraction(5 * r, 6)
     for t in (-1, -2, -3):
         # coefficient vector of (A, B, C) in chi(E(t)), plus the constant part
@@ -240,26 +241,10 @@ def ulrich_class(r: int) -> BundleClass:
         coeff_b = Fraction(t + 1)
         coeff_c = Fraction(1)
         const = lead * t ** 3 + Fraction(5 * r, 2) * t * t + Fraction(8 * r, 3) * t + r
-        rows.append([coeff_a, coeff_b, coeff_c])
-        rhs.append(-const)
-    a, b_, c_ = _solve3(rows, rhs)
+        rows.append([coeff_a, coeff_b, coeff_c, -const])
+    reduced, _ = rref(rows, QQ)
+    a, b_, c_ = (row[3] for row in reduced)
     return class_from_ch(r, ChowClass(r, a, b_, c_))
-
-
-def _solve3(rows: list[list[Fraction]], rhs: list[Fraction]) -> tuple[Fraction, ...]:
-    """Gaussian elimination on a 3x3 exact system."""
-    m = [row[:] + [v] for row, v in zip(rows, rhs)]
-    n = 3
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col] != 0)
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
 
 
 def coker_class(r: int) -> BundleClass:

@@ -57,8 +57,16 @@ def theta(d: DimVector) -> int:
     return euler_form(THETA_SOURCE, d)
 
 
+def dim_vector(d) -> DimVector:
+    """``d`` as a pair of nonnegative ints; ValueError for anything else."""
+    if not (isinstance(d, (list, tuple)) and len(d) == 2 and all(type(x) is int and x >= 0 for x in d)):
+        raise ValueError(f"dimension vector d must be two nonnegative integers, got {d!r}")
+    return (d[0], d[1])
+
+
 def moduli_dim(d: DimVector) -> int:
     """Expected dimension 1 - <d, d> of the stable-representation moduli."""
+    d = dim_vector(d)
     if d == (0, 0):
         raise ValueError("zero dimension vector has no moduli space")
     return 1 - euler_form(d, d)
@@ -75,9 +83,7 @@ class QuiverRep:
     C: Matrix
 
     def __post_init__(self):
-        d1, d2 = self.d
-        if d1 < 0 or d2 < 0:
-            raise ValueError(f"dimension vector must be nonnegative, got {self.d}")
+        d1, d2 = dim_vector(self.d)
         for name in ("A", "B", "C"):
             m = getattr(self, name)
             if len(m) != d2 or any(len(row) != d1 for row in m):
@@ -102,15 +108,17 @@ class QuiverRep:
     @staticmethod
     def from_json(text: str) -> "QuiverRep":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError("representation must be a JSON object")
         field = field_for(payload["q"])
-        d = (int(payload["d"][0]), int(payload["d"][1]))
-        mats = {}
+        d = dim_vector(payload["d"])
+        mats = []
         for name in ("A", "B", "C"):
-            rows = [[_entry_parse(x) for x in row] for row in payload[name]]
-            if not rows:
-                rows = [[] for _ in range(d[1])] if d[1] else []
-            mats[name] = matrix(rows, field) if rows else ()
-        return make_rep(field, d, mats["A"], mats["B"], mats["C"])
+            rows = payload[name]
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise ValueError(f"map {name} must be a list of lists, got {rows!r}")
+            mats.append([[_entry_parse(x, name, field) for x in row] for row in rows])
+        return make_rep(field, d, *mats)
 
 
 def _entry_json(x) -> Union[int, str]:
@@ -119,9 +127,11 @@ def _entry_json(x) -> Union[int, str]:
     return int(x)
 
 
-def _entry_parse(x):
-    if isinstance(x, str):
+def _entry_parse(x, name: str, field: Field):
+    if isinstance(x, str) and field == QQ:
         return Fraction(x)
+    if type(x) is not int:
+        raise ValueError(f"map {name} has entry {x!r}; entries are integers, or fraction strings over Q")
     return x
 
 

@@ -237,6 +237,35 @@ class TestErrors:
         assert code == 1
 
 
+class TestMalformedInput:
+    """Bad input ends in exit 1 and one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (("quiver", "hom-ext", "--matrices"), {"q": "rational", "d": [2], "A": [], "B": [], "C": []}),
+            (
+                ("quiver", "stability", "--matrices"),
+                {"q": 3, "d": [2, 2], "A": 5, "B": [[0, 0]] * 2, "C": [[0, 0]] * 2},
+            ),
+            (("quiver", "moduli-dim", "--dim", "-3", "2"), None),
+        ],
+    )
+    def test_one_error_line(self, tmp_path, argv, payload):
+        if payload is not None:
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            argv = (*argv, str(path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanov5.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 class TestVerify:
     def test_verify_paper_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "paper")

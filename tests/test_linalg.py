@@ -1,0 +1,170 @@
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from fanov5 import quiver
+from fanov5.linalg import QQ, PrimeField, field_for, rank, rref
+from fanov5.quiver import hom_ext, random_rep
+
+
+def reference_rref(rows):
+    """Gauss-Jordan over Q on Fraction entries: the elimination the fraction-free kernel replaced."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rk = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rk, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rk], m[pivot] = m[pivot], m[rk]
+        inv = 1 / m[rk][col]
+        m[rk] = [inv * x for x in m[rk]]
+        for r in range(nrows):
+            if r != rk and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rk])]
+        rk += 1
+        if rk == nrows:
+            break
+    return tuple(tuple(row) for row in m), rk
+
+
+def corpus(seed=2024, size=400):
+    """Seeded rational matrices: empty, zero, duplicate-row, wide, tall and p/q entries."""
+    rng = random.Random(seed)
+    out = [[], [[]], [[], []], [[0, 0, 0]] * 3, [[Fraction(0)] * 4] * 2, [[1, 2, 3]] * 4]
+    for i in range(size):
+        shape = i % 4
+        if shape == 0:
+            nrows, ncols = rng.randint(1, 3), rng.randint(4, 9)  # wide
+        elif shape == 1:
+            nrows, ncols = rng.randint(4, 9), rng.randint(1, 3)  # tall
+        else:
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if i % 3 == 0:
+            draw = lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 9))  # noqa: E731
+        elif i % 3 == 1:
+            draw = lambda: rng.choice((0, 0, 0, 1, -1, 2))  # noqa: E731 - sparse, rank-deficient
+        else:
+            draw = lambda: rng.randint(-9, 9)  # noqa: E731
+        rows = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and i % 5 == 0:
+            rows[-1] = list(rows[0])  # duplicate row
+        if nrows > 2 and i % 7 == 0:
+            rows[1] = [2 * x - y for x, y in zip(rows[0], rows[-1])]  # dependent row
+        out.append(rows)
+    return out
+
+
+def is_rref(m, rk):
+    pivots = []
+    for i, row in enumerate(m):
+        nonzero = [c for c, x in enumerate(row) if x != 0]
+        if i >= rk:
+            if nonzero:
+                return False
+            continue
+        if not nonzero or row[nonzero[0]] != 1:
+            return False
+        pivots.append(nonzero[0])
+    if pivots != sorted(set(pivots)):
+        return False
+    return all(m[r][c] == 0 for c in pivots for r in range(len(m)) if r != pivots.index(c))
+
+
+class TestRationalElimination:
+    def test_rref_matches_reference(self):
+        for rows in corpus():
+            got = rref(rows, QQ)
+            want = reference_rref(rows)
+            assert got == want, rows
+            assert all(type(x) is Fraction for row in got[0] for x in row), rows
+
+    def test_rank_matches_reference(self):
+        for rows in corpus(seed=7):
+            assert rank(rows, QQ) == reference_rref(rows)[1], rows
+
+    def test_hom_ext_ranks_match_reference(self, monkeypatch):
+        calls = []
+
+        def checked_rank(rows, field):
+            got = rank(rows, field)
+            calls.append(got)
+            assert got == reference_rref(rows)[1]
+            return got
+
+        monkeypatch.setattr(quiver, "rank", checked_rank)
+        for seed in range(3):
+            a = random_rep((3, 3), QQ, seed)
+            b = random_rep((3, 2), QQ, seed + 100)
+            assert hom_ext(a, a) == (1, 10)
+            h, e = hom_ext(a, b)
+            assert h - e == quiver.euler_form(a.d, b.d)
+        assert len(calls) == 6
+
+    def test_rref_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        shapes = st.tuples(st.integers(0, 6), st.integers(1, 6))
+        matrices = shapes.flatmap(
+            lambda s: st.lists(st.lists(entries, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0])
+        )
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(matrices)
+        def check(rows):
+            m, rk = rref(rows, QQ)
+            assert is_rref(m, rk)
+            assert rk == rank(rows, QQ)
+            assert len(m) == len(rows)
+
+        check()
+
+    def test_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        for rows in corpus(seed=11, size=120):
+            if not rows or not rows[0]:
+                continue
+            reduced, pivots = sympy.Matrix(rows).rref()
+            m, rk = rref(rows, QQ)
+            assert rk == len(pivots), rows
+            assert [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))] == [
+                list(row) for row in m
+            ]
+
+
+class TestPrimeField:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 10000019, 1000000007, 2 ** 61 - 1])
+    def test_primes_accepted(self, p):
+        assert PrimeField(p).p == p
+
+    @pytest.mark.parametrize(
+        "n", [-7, 0, 1, 4, 9, 10000019 * 3, 561, 3215031751, 3825123056546413051, 318665857834031151167461]
+    )
+    def test_composites_rejected(self, n):
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        PrimeField(1000000007)
+        assert time.perf_counter() - start < 0.1
+
+    def test_agrees_with_trial_division(self):
+        for n in range(2000):
+            prime = n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+            try:
+                PrimeField(n)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == prime, n
+
+    @pytest.mark.parametrize("q", ["x", 2.5, True, [3], "1/2"])
+    def test_field_tag_rejected(self, q):
+        with pytest.raises(ValueError):
+            field_for(q)

@@ -86,6 +86,13 @@ class TestModuliDim:
         with pytest.raises(ValueError):
             moduli_dim((0, 0))
 
+    @pytest.mark.parametrize("d", [(-3, 2), (2, -1), (2,), (1, 2, 3), (1.0, 2), (True, 1), "22"])
+    def test_bad_dimension_vector_rejected(self, d):
+        with pytest.raises(ValueError, match="dimension vector"):
+            moduli_dim(d)
+        with pytest.raises(ValueError, match="dimension vector"):
+            QuiverRep(field=F2, d=d, A=(), B=(), C=())
+
 
 class TestHomExt:
     def test_simples(self):
@@ -247,6 +254,32 @@ class TestJsonRoundTrip:
         rep = random_rep((1, 2), QQ, 12)
         again = QuiverRep.from_json(rep.to_json())
         assert again == rep
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"d": [2]}, "d"),
+            ({"d": [2, -1]}, "d"),
+            ({"d": "22"}, "d"),
+            ({"A": 5}, "A"),
+            ({"B": [1, 2]}, "B"),
+            ({"C": [[0, None], [0, 0]]}, "C"),
+            ({"C": [["1/2", 0], [0, 0]]}, "C"),
+            ({"q": [3]}, "q"),
+            ({"q": 4}, "4"),
+        ],
+    )
+    def test_malformed_payload_names_key(self, change, key):
+        import json
+
+        payload = json.loads(random_rep((2, 2), F3, 1).to_json())
+        payload.update(change)
+        with pytest.raises(ValueError, match=key):
+            QuiverRep.from_json(json.dumps(payload))
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            QuiverRep.from_json("[1, 2]")
 
     def test_schema_keys(self):
         import json
