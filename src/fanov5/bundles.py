@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .weights import (
-    DominantizationResult,
-    Weight,
-    dominantize,
-    fundamental,
-    rho,
-    weyl_dim,
-)
+from .weights import Weight, dominantize, fundamental, rho, weyl_dim
 
 CATALOG_NAMES = ("U", "Ustar", "Q", "Qstar", "O", "Sym2Ustar", "wedge2Qstar")
 
@@ -73,9 +66,6 @@ class CohomologyTable:
     def from_dict(d: dict[int, CohomologyEntry]) -> "CohomologyTable":
         return CohomologyTable(tuple(sorted(d.items())))
 
-    def as_dict(self) -> dict[int, CohomologyEntry]:
-        return dict(self.entries)
-
     def dim(self, i: int) -> int:
         for deg, entry in self.entries:
             if deg == i:
@@ -116,18 +106,6 @@ def catalog(name: str, n: int = 5, k: int = 2) -> EquivariantBundle:
     return EquivariantBundle(n=n, k=k, weight=builders[name](), label=name)
 
 
-DUAL_PAIRS = (("U", "Ustar"), ("Q", "Qstar"), ("O", "O"))
-
-
-def dual_name(name: str) -> str:
-    for a, b in DUAL_PAIRS:
-        if name == a:
-            return b
-        if name == b:
-            return a
-    raise ValueError(f"no registered dual for {name!r}")
-
-
 def twist(b: EquivariantBundle, j: int) -> EquivariantBundle:
     """Tensor with O(j), i.e. add j*w_k to the defining weight."""
     if j == 0:
@@ -159,11 +137,6 @@ def _segment_dim(coeffs: tuple[int, ...]) -> int:
     return weyl_dim(shifted)
 
 
-def dominantize_shifted(b: EquivariantBundle) -> DominantizationResult:
-    """Dominantization of weight + rho, the engine behind ``cohomology``."""
-    return dominantize(b.weight + rho(b.n))
-
-
 def cohomology(b: EquivariantBundle) -> CohomologyTable:
     """Full cohomology table of an irreducible equivariant bundle.
 
@@ -171,7 +144,7 @@ def cohomology(b: EquivariantBundle) -> CohomologyTable:
     length(w), of dimension weyl_dim(w(weight+rho)) with highest weight
     w(weight+rho) - rho.
     """
-    res = dominantize_shifted(b)
+    res = dominantize(b.weight + rho(b.n))
     if res.singular:
         return CohomologyTable(())
     assert res.dominant is not None and res.length is not None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Union
 
 from .linalg import QQ, rref
@@ -89,7 +90,6 @@ class ChowClass:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-ZERO = ChowClass(0, 0, 0, 0)
 ONE = ChowClass(1, 0, 0, 0)
 H = ChowClass(0, 1, 0, 0)
 L = ChowClass(0, 0, 1, 0)
@@ -115,8 +115,12 @@ def exp_h(t: Scalar) -> ChowClass:
     return ChowClass(1, t, 5 * t * t / 2, 5 * t ** 3 / 6)
 
 
+@cache
 def todd_v5() -> ChowClass:
-    """Todd class 1 + c1/2 + (c1^2 + c2)/12 + (c1 c2)/24 evaluated on (h,l,p)."""
+    """Todd class 1 + c1/2 + (c1^2 + c2)/12 + (c1 c2)/24 evaluated on (h,l,p).
+
+    Computed once: ``ChowClass`` is frozen, so every caller shares the value.
+    """
     c1 = TANGENT_C1_H * H
     c2 = TANGENT_C2_L * L
     return ONE + Fraction(1, 2) * c1 + Fraction(1, 12) * (c1 * c1 + c2) + Fraction(1, 24) * (c1 * c2)

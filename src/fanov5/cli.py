@@ -17,7 +17,7 @@ from typing import Any, Optional, Sequence
 
 from . import bundles, checklist, chow, koszul, quiver
 from .linalg import PrimeField, field_for
-from .weights import rho
+from .weights import reflection_chain, rho
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -191,8 +191,6 @@ def _run_bwb(args) -> int:
 def _run_chain(args) -> int:
     b = _bundle_from(args)
     chain_start = b.weight + rho(b.n)
-    from .weights import reflection_chain
-
     chain = reflection_chain(chain_start)
     payload = {
         "start": _weight_json(chain_start),
@@ -221,9 +219,7 @@ def _run_restrict(args) -> int:
 
 
 def _run_ulrich(args) -> int:
-    b = bundles.catalog(args.bundle, n=args.n, k=args.k)
-    b = bundles.twist(b, args.twist)
-    verdict = koszul.ulrich_check(b, args.codim, assume_generic=args.assume_generic)
+    verdict = koszul.ulrich_check(_bundle_from(args), args.codim, assume_generic=args.assume_generic)
     payload = {
         "bundle": args.bundle,
         "codim": args.codim,

@@ -104,10 +104,6 @@ def rho(n: int) -> Weight:
     return Weight(n, (1,) * (n - 1))
 
 
-def zero_weight(n: int) -> Weight:
-    return Weight(n, (0,) * (n - 1))
-
-
 def to_eps(w: Weight) -> EpsVector:
     """Epsilon coordinates: z_j - z_{j+1} = coeffs[j], z_n = 0."""
     z = [0] * w.n

@@ -1,188 +1,16 @@
-"""Acceptance suite: every headline number, at exact-equality tolerance.
+"""Acceptance suite: one test per claim of ``fanov5 verify paper``.
 
-Each test covers one numbered criterion and prints a PASS line when its
-assertions hold (run with ``pytest -s`` to see them; a FAIL shows up as an
-ordinary pytest failure).  Everything is integer arithmetic, so there are
-no tolerances anywhere: comparisons are ==.
+The claims live in :func:`fanov5.checklist.claims`, so the command and this
+suite check the same headline values at exact equality.  Property sweeps
+and CLI behaviour that are not claims are tested in the module test files.
 """
 
-import random
+import pytest
 
-from fanov5.bundles import bundle_rank, catalog, cohomology, dual_name, twist
-from fanov5.chow import (
-    catalog_class,
-    ch_tensor,
-    chi,
-    chi_ch,
-    coker_class,
-    euler_pairing,
-    twist_class,
-    ulrich_class,
-)
-from fanov5.cli import main as cli_main
-from fanov5.koszul import RestrictionStatus, UlrichStatus, restrict_cohomology, ulrich_check
-from fanov5.linalg import PrimeField
-from fanov5.quiver import (
-    Stability,
-    check_stability,
-    check_stability_pairs,
-    direct_sum,
-    euler_form,
-    hom_ext,
-    make_rep,
-    moduli_dim,
-    random_rep,
-    zero_rep,
-)
-from fanov5.weights import Weight, reflection_chain
+from fanov5.checklist import claims
 
 
-def _report(criterion: str):
-    print(f"PASS  {criterion}")
-
-
-def test_criterion_1_restriction_tables():
-    expected = {
-        ("U", 1): {0: 5},
-        ("Qstar", 1): {0: 10},
-        ("U", 0): {},
-        ("U", -1): {},
-        ("Qstar", 0): {},
-        ("Qstar", -1): {},
-        ("U", -2): {3: 5},
-        ("Qstar", -2): {3: 5},
-    }
-    for (name, j), table in expected.items():
-        res = restrict_cohomology(twist(catalog(name), j), 3)
-        assert res.status is RestrictionStatus.EXACT, (name, j)
-        assert res.table.dims() == table, (name, j)
-    _report("criterion 1: eight restriction tables, exact, no genericity")
-
-
-def test_criterion_2_ambient_tables():
-    u, qs = catalog("U"), catalog("Qstar")
-    t = cohomology(twist(u, 1))
-    assert t.dims() == {0: 5}
-    assert t.entries[0][1].highest_weight.coeffs == (1, 0, 0, 0)
-    t = cohomology(twist(u, -5))
-    assert t.dims() == {6: 5}
-    assert t.entries[0][1].highest_weight.coeffs == (0, 0, 0, 1)
-    for j in range(0, 5):
-        assert cohomology(twist(u, -j)).is_zero(), j
-        assert cohomology(twist(qs, -j)).is_zero(), j
-    t = cohomology(twist(qs, 1))
-    assert t.dims() == {0: 10}
-    assert t.entries[0][1].highest_weight.coeffs == (0, 0, 1, 0)
-    t = cohomology(twist(qs, -5))
-    assert t.dims() == {6: 5}
-    assert t.entries[0][1].highest_weight.coeffs == (1, 0, 0, 0)
-    _report("criterion 2: ambient tables with highest weights")
-
-
-def test_criterion_3_chain_replays():
-    chain = reflection_chain(Weight(5, (2, -1, 1, 1)))
-    assert chain.singular
-    assert [(s.reflection, s.weight.coeffs) for s in chain.steps] == [(2, (1, 1, 0, 1))]
-    chain = reflection_chain(Weight(5, (2, -5, 1, 1)))
-    assert not chain.singular
-    assert [(s.reflection, s.weight.coeffs) for s in chain.steps] == [
-        (2, (-3, 5, -4, 1)),
-        (1, (3, 2, -4, 1)),
-        (3, (3, -2, 4, -3)),
-        (2, (1, 2, 2, -3)),
-        (4, (1, 2, -1, 3)),
-        (3, (1, 1, 1, 2)),
-    ]
-    _report("criterion 3: reflection chains replay step by step")
-
-
-def test_criterion_4_ulrich_verification():
-    s2 = catalog("Sym2Ustar")
-    assert ulrich_check(s2, 0).status is UlrichStatus.ULRICH
-    assert ulrich_check(s2, 3).status is UlrichStatus.ULRICH
-    sections = restrict_cohomology(s2, 3)
-    assert sections.status is RestrictionStatus.EXACT
-    assert sections.table.dims() == {0: 15}
-    assert 15 == 5 * bundle_rank(s2)
-    assert chi(ulrich_class(3), 0) == 15
-    _report("criterion 4: rank-3 bundle passes the vanishing gauntlet, 15 sections")
-
-
-def test_criterion_5_quiver_geometry_agreement():
-    for r in range(1, 11):
-        assert euler_form((r, r), (r, r)) == -r * r
-        e = ulrich_class(r)
-        assert euler_pairing(e, e) == -r * r
-        assert moduli_dim((r, r)) == r * r + 1
-    assert moduli_dim((2, 2)) == 5
-    _report("criterion 5: Euler form, pairing, moduli dimension agree for r=1..10")
-
-
-def test_criterion_6_riemann_roch_cross_checks():
-    o = catalog_class("O")
-    assert chi(o, 0) == 1
-    assert chi(o, 1) == 7
-    generic = restrict_cohomology(twist(catalog("O"), 1), 3, assume_generic=True)
-    assert generic.status is RestrictionStatus.GENERIC_ASSUMED
-    assert generic.table.dims() == {0: 7}  # 10 - 3 from the two-term page
-    u = catalog_class("U")
-    assert chi(u, -2) == -5
-    restricted = restrict_cohomology(twist(catalog("U"), -2), 3)
-    assert chi(u, -2) == -restricted.table.dim(3)
-    qs = catalog_class("Qstar")
-    for r in range(2, 6):
-        e = ulrich_class(r)
-        assert chi_ch(ch_tensor(u, e), -2) == r
-        assert chi_ch(ch_tensor(qs, e), -2) == r
-    _report("criterion 6: Riemann-Roch values and their independent routes")
-
-
-def test_criterion_7_cokernel_consistency():
-    for r in range(1, 11):
-        assert twist_class(coker_class(r), 1) == ulrich_class(r), r
-    _report("criterion 7: cokernel classes twist onto the solved Chern data")
-
-
-def test_criterion_8_property_suites():
-    # (a) hom/ext difference is the Euler form, 200 seeded pairs
-    rng = random.Random(17)
-    fields = [PrimeField(2), PrimeField(3), PrimeField(5)]
-    for _ in range(200):
-        field = rng.choice(fields)
-        a = random_rep((rng.randint(0, 3), rng.randint(0, 3)), field, rng.randint(0, 10 ** 9))
-        b = random_rep((rng.randint(0, 3), rng.randint(0, 3)), field, rng.randint(0, 10 ** 9))
-        h, e = hom_ext(a, b)
-        assert h - e == euler_form(a.d, b.d)
-
-    # (b) Serre duality across the catalog dual pairs, twists -6..2
-    for name in ("U", "Q", "O"):
-        other = dual_name(name)
-        for j in range(-6, 3):
-            left = cohomology(twist(catalog(name), j)).dims()
-            right = cohomology(twist(catalog(other), -j - 5)).dims()
-            assert left == {6 - i: d for i, d in right.items()}, (name, j)
-
-    # (c) stability verdicts match the pair-enumeration oracle over F_2
-    f2 = PrimeField(2)
-    for d in ((1, 1), (2, 2)):
-        for seed in range(50):
-            rep = random_rep(d, f2, seed)
-            assert check_stability(rep).status == check_stability_pairs(rep).status, (d, seed)
-    assert check_stability(zero_rep(f2, (1, 1))).status is Stability.UNSTABLE
-    a = make_rep(f2, (1, 1), [[1]], [[0]], [[0]])
-    b = make_rep(f2, (1, 1), [[0]], [[1]], [[0]])
-    for rep in (a, b):
-        assert check_stability(rep).status is Stability.STABLE
-    assert check_stability(direct_sum(a, b)).status is Stability.STRICTLY_SEMISTABLE
-    _report("criterion 8: hom/ext, Serre duality and stability property suites")
-
-
-def test_criterion_9_honest_indeterminacy(capsys):
-    res = restrict_cohomology(twist(catalog("O"), 1), 3)
-    assert res.status is RestrictionStatus.NEEDS_MAPS
-    assert res.table is None
-    code = cli_main(["restrict", "--bundle", "O", "--twist", "1", "--codim", "3"])
-    capsys.readouterr()
-    assert code == 2
-    with capsys.disabled():
-        _report("criterion 9: unresolved differentials reported as needs-maps, exit 2")
+@pytest.mark.parametrize("claim", claims(), ids=lambda claim: claim.name)
+def test_claim(claim):
+    ok, detail = claim.run()
+    assert ok, detail

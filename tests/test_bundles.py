@@ -8,11 +8,21 @@ from fanov5.bundles import (
     bundle_rank,
     catalog,
     cohomology,
-    dual_name,
     euler_characteristic,
     twist,
 )
 from fanov5.weights import Weight, dominantize, rho
+
+DUAL_PAIRS = (("U", "Ustar"), ("Q", "Qstar"), ("O", "O"))
+
+
+def dual_name(name: str) -> str:
+    for a, b in DUAL_PAIRS:
+        if name == a:
+            return b
+        if name == b:
+            return a
+    raise ValueError(f"no registered dual for {name!r}")
 
 
 class TestCatalog:

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,6 +274,38 @@ class TestVerify:
         assert code == 0
         lines = [l for l in out.splitlines() if l.strip()]
         assert lines and all(l.startswith("PASS") for l in lines)
+
+
+def readme_examples():
+    """(command, stdout, exit code) of each README line whose comment is its JSON output.
+
+    The comment follows ``#`` on the command's line or opens the next line;
+    a trailing ``(exit 2)`` gives the exit code.  Comments that are prose,
+    or elide part of the output with ``...``, are not JSON and are skipped.
+    """
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    for line, following in zip(lines, lines[1:] + [""]):
+        if not line.startswith("fanov5 "):
+            continue
+        command, _, comment = line.partition("#")
+        if not comment and following.startswith("# "):
+            comment = following[2:]
+        comment = comment.strip()
+        code = 2 if comment.endswith("(exit 2)") else 0
+        comment = comment.removesuffix("(exit 2)").strip()
+        try:
+            json.loads(comment)
+        except ValueError:
+            continue
+        yield command.strip(), comment + "\n", code
+
+
+def test_readme_examples(capsys):
+    examples = list(readme_examples())
+    assert examples
+    for command, expected, expected_code in examples:
+        code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
+        assert (out, code) == (expected, expected_code), command
 
 
 def test_console_entry_point():

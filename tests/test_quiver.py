@@ -162,8 +162,11 @@ class TestStability:
         assert verdict.witness.theta == 5
 
     def test_nonzero_scalar_triple_stable(self):
-        rep = make_rep(F2, (1, 1), [[1]], [[0]], [[0]])
-        assert check_stability(rep).status is Stability.STABLE
+        for rep in (
+            make_rep(F2, (1, 1), [[1]], [[0]], [[0]]),
+            make_rep(F2, (1, 1), [[0]], [[1]], [[0]]),
+        ):
+            assert check_stability(rep).status is Stability.STABLE
 
     def test_direct_sum_strictly_semistable(self):
         a = make_rep(F2, (1, 1), [[1]], [[0]], [[0]])
