@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import lcm
 from typing import Union
 
 from .linalg import QQ, rref
@@ -53,14 +54,7 @@ class ChowClass:
     def __mul__(self, other: Union["ChowClass", Scalar]) -> "ChowClass":
         if not isinstance(other, ChowClass):
             return self.__rmul__(other)
-        x0, x1, x2, x3 = self.coefficients()
-        y0, y1, y2, y3 = other.coefficients()
-        return ChowClass(
-            x0 * y0,
-            x0 * y1 + x1 * y0,
-            x0 * y2 + x2 * y0 + 5 * x1 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
-        )
+        return ChowClass(*_product(self.coefficients(), other.coefficients()))
 
     def __pow__(self, e: int) -> "ChowClass":
         if e < 0:
@@ -88,6 +82,24 @@ class ChowClass:
             else:
                 parts.append(f"{coeff}*{name}")
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _product(x, y):
+    """Coefficients of the product on (1, h, l, p), by h*h = 5l, h*l = p."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0,
+        x0 * y1 + x1 * y0,
+        x0 * y2 + x2 * y0 + 5 * x1 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1,
+    )
+
+
+def _integral(x: ChowClass) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of the coefficients over their least common denominator."""
+    den = lcm(*(a.denominator for a in x.coefficients()))
+    return tuple(a.numerator * (den // a.denominator) for a in x.coefficients()), den
 
 
 ONE = ChowClass(1, 0, 0, 0)
@@ -178,9 +190,19 @@ def class_from_total_chern(rank: int, c: ChowClass) -> BundleClass:
 
 
 def chi_ch(ch: ChowClass, t: Scalar = 0) -> int:
-    """Euler characteristic of a Chern-character class twisted by O(t)."""
-    val = (ch * exp_h(t) * todd_v5()).integrate()
-    return _as_int(val, "chi")
+    """Euler characteristic of a Chern-character class twisted by O(t).
+
+    With g = ch * todd, the integral of g * exp(t*h) is the cubic
+    g3 + g2 t + (5/2) g1 t^2 + (5/6) g0 t^3 (as h^2 = 5l, h^3 = 5p), here
+    evaluated on integer numerators over one common denominator.
+    """
+    x, den = _integral(ch)
+    y, todd_den = _integral(todd_v5())
+    g0, g1, g2, g3 = _product(x, y)
+    t = Fraction(t)
+    n, m = t.numerator, t.denominator
+    num = 6 * g3 * m**3 + 6 * g2 * n * m * m + 15 * g1 * n * n * m + 5 * g0 * n**3
+    return _as_int(Fraction(num, 6 * den * todd_den * m**3), "chi")
 
 
 def chi(b: BundleClass, t: int = 0) -> int:

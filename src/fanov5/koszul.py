@@ -64,10 +64,14 @@ class RestrictionResult:
         return self.status is not RestrictionStatus.NEEDS_MAPS
 
 
+def _check_codim(b: EquivariantBundle, c: int, lowest: int) -> None:
+    if not lowest <= c <= b.dim_space:
+        raise ValueError(f"codimension {c} out of range {lowest}..{b.dim_space}")
+
+
 def koszul_page(b: EquivariantBundle, c: int) -> KoszulPage:
     """First page for restricting ``b`` across a codimension-c linear section."""
-    if not 1 <= c <= b.dim_space:
-        raise ValueError(f"codimension {c} out of range 1..{b.dim_space}")
+    _check_codim(b, c, 1)
     terms = []
     for p in range(c + 1):
         mult = comb(c, p)
@@ -156,12 +160,13 @@ def ulrich_check(
 ) -> UlrichVerdict:
     """Test H^*(X, E(-j)) = 0 for j = 1..dim X, X the codim-c section (c=0: ambient).
 
-    A definite nonzero group anywhere defeats the bundle regardless of any
-    unresolved twist, so failures win over indeterminacy; the witness is the
-    first failing (j, i) in lexicographic order.
+    ``c`` runs over 0..dim of the ambient space, the range of
+    ``koszul_page`` plus the ambient space itself.  A definite nonzero group
+    anywhere defeats the bundle regardless of any unresolved twist, so
+    failures win over indeterminacy; the witness is the first failing (j, i)
+    in lexicographic order.
     """
-    if not 0 <= c <= 3:
-        raise ValueError(f"supported codimensions are 0..3, got {c}")
+    _check_codim(b, c, 0)
     d = b.dim_space - c
     indeterminate = False
     for j in range(1, d + 1):

@@ -1,10 +1,12 @@
 """Small exact linear algebra over prime fields and the rationals.
 
 Matrices are tuples of row tuples.  Entries are ints reduced mod p for a
-prime field, or fractions.Fraction over the rationals.  Over F_p rows are
-reduced by ordinary Gauss-Jordan elimination.  Over Q each row is scaled to
-integers and eliminated fraction-free over Z (Bareiss, Math. Comp. 22,
-1968), so no Fraction is built until a reduced matrix is returned.
+prime field, or fractions.Fraction over the rationals.  Over F_p one kernel,
+``echelon_extend``, folds rows on plain ints into a semi-echelon basis with
+monic pivots; rank is its length, and rref sorts it by pivot and clears
+above the pivots.  Over Q each row is scaled to integers and eliminated
+fraction-free over Z (Bareiss, Math. Comp. 22, 1968), so no Fraction is
+built until a reduced matrix is returned.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
 Matrix = tuple[tuple[Entry, ...], ...]
@@ -137,30 +139,56 @@ def _fraction_free(rows: Sequence[Sequence[Entry]], reduce_above: bool) -> tuple
     return m, rank, prev
 
 
+# A semi-echelon basis over F_p: (pivot column, row) pairs whose rows are
+# monic at their pivot, zero left of it, and zero at every earlier pivot.
+Echelon = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def echelon_extend(basis: Echelon, vectors: Sequence[Sequence[int]], p: int) -> Echelon:
+    """``basis`` with ``vectors`` (ints in 0..p-1) folded in over F_p.
+
+    Each vector is reduced at the pivots in basis order (a later row is zero
+    at every earlier pivot, so a cleared entry stays cleared); a nonzero
+    remainder joins as a new row, scaled to a leading 1.  The span of the
+    result is the span of ``basis`` and ``vectors``, and its length the rank.
+    """
+    out = list(basis)
+    for v in vectors:
+        for c, row in out:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            out.append((lead, tuple(x * inv % p for x in v)))
+    return tuple(out)
+
+
+def _echelon_fp(rows: Sequence[Sequence[Entry]], p: int) -> Echelon:
+    return echelon_extend((), [[int(x) % p for x in row] for row in rows], p)
+
+
 def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank."""
     if isinstance(field, RationalField):
         m, rk, last = _fraction_free(rows, reduce_above=True)
         return tuple(tuple(Fraction(x, last) for x in row) for row in m), rk
-    m = [list(field.normalize(x) for x in row) for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = field.inv(m[rank][col])
-        m[rank] = [field.normalize(inv * x) for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [field.normalize(x - factor * y) for x, y in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return tuple(tuple(row) for row in m), rank
+    p = field.p
+    basis = sorted(_echelon_fp(rows, p))
+    pivots = [c for c, _ in basis]
+    m = [list(row) for _, row in basis]
+    # Gauss-Jordan back substitution, last pivot first: a row used to clear
+    # the rows above it is already zero at every later pivot.
+    for i in reversed(range(len(m))):
+        c, top = pivots[i], m[i]
+        for r in range(i):
+            f = m[r][c]
+            if f:
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], top)]
+    ncols = len(rows[0]) if rows else 0
+    zero = (0,) * ncols
+    return tuple(map(tuple, m)) + (zero,) * (len(rows) - len(m)), len(m)
 
 
 def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
@@ -168,7 +196,7 @@ def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
         return 0
     if isinstance(field, RationalField):
         return _fraction_free(rows, reduce_above=False)[1]
-    return rref(rows, field)[1]
+    return len(_echelon_fp(rows, field.p))
 
 
 def row_space_basis(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
@@ -179,34 +207,56 @@ def row_space_basis(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
     return reduced[:rk]
 
 
-def subspaces(field: PrimeField, n: int, dim: Union[int, None] = None) -> Iterator[Matrix]:
+Prune = Callable[[Matrix, int], bool]
+
+
+def subspaces(
+    field: PrimeField, n: int, dim: Union[int, None] = None, prune: Optional[Prune] = None
+) -> Iterator[Matrix]:
     """All subspaces of F_p^n as canonical RREF bases (the 0 space is ``()``).
 
-    Enumerates pivot-column patterns and the free entries to their right;
-    each subspace appears exactly once.  Counts follow the Gaussian
-    binomials, e.g. 67 subspaces of F_2^4.
+    For each dimension k and each pivot-column pattern, a depth-first walk
+    picks the rows one at a time, each row's free entries (right of its
+    pivot, off the other pivots) in lexicographic order; each subspace
+    appears exactly once.  Counts follow the Gaussian binomials, e.g. 67
+    subspaces of F_2^4.
+
+    ``prune(rows, k)`` is asked about every nonempty partial basis of a
+    k-dim subspace, shortest first and the full one included; when it
+    returns True, neither ``rows`` nor any k-dim basis extending it is
+    yielded.  Without it the walk yields every subspace, in the same order.
     """
     if not isinstance(field, PrimeField):
         raise TypeError("subspace enumeration needs a finite field")
-    dims = range(n + 1) if dim is None else [dim]
-    for k in dims:
-        if k == 0:
-            yield ()
-            continue
+    elements = field.elements()
+    for k in range(n + 1) if dim is None else [dim]:
         for pivots in combinations(range(n), k):
-            free_positions = [
-                (r, c)
-                for r in range(k)
-                for c in range(pivots[r] + 1, n)
-                if c not in pivots
-            ]
-            for values in product(field.elements(), repeat=len(free_positions)):
-                rows = [[0] * n for _ in range(k)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (r, c), val in zip(free_positions, values):
-                    rows[r][c] = val
-                yield tuple(tuple(row) for row in rows)
+            yield from _walk((), pivots, n, elements, prune)
+
+
+def _walk(
+    rows: Matrix, pivots: tuple[int, ...], n: int, elements: range, prune: Optional[Prune]
+) -> Iterator[Matrix]:
+    """Bases with pivot columns ``pivots`` extending ``rows``, depth first.
+
+    A module-level function, not a closure: a closure that calls itself is a
+    reference cycle, which would keep ``prune`` and all it holds alive until
+    the cyclic collector runs.
+    """
+    r = len(rows)
+    if r == len(pivots):
+        yield rows
+        return
+    pc = pivots[r]
+    free = [c for c in range(pc + 1, n) if c not in pivots]
+    for values in product(elements, repeat=len(free)):
+        row = [0] * n
+        row[pc] = 1
+        for c, val in zip(free, values):
+            row[c] = val
+        child = rows + (tuple(row),)
+        if prune is None or not prune(child, len(pivots)):
+            yield from _walk(child, pivots, n, elements, prune)
 
 
 def count_subspaces(p: int, n: int) -> int:

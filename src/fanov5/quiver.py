@@ -13,7 +13,10 @@ Stability checks over a prime field are exhaustive: for every subspace W1
 of the source, the theta-maximizing subrepresentation through W1 takes
 W2 = A(W1) + B(W1) + C(W1), so enumerating pairs (W1, minimal W2) (plus
 the one-dimensional targets that a zero W1 allows) finds a maximizing
-witness or certifies stability.
+witness or certifies stability.  ``check_stability`` walks the source
+subspaces row by row and prunes those that cannot beat the best theta
+found so far; ``check_stability_pairs`` is the unpruned oracle over raw
+pairs (W1, W2).
 """
 
 from __future__ import annotations
@@ -22,14 +25,17 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from random import Random
 from typing import Optional, Union
 
 from .linalg import (
+    Echelon,
     Field,
     Matrix,
     PrimeField,
     QQ,
+    echelon_extend,
     field_for,
     mat_vec,
     matrix,
@@ -245,32 +251,19 @@ def _image_basis(rep: QuiverRep, basis1: Matrix) -> Matrix:
     return row_space_basis(vectors, rep.field)
 
 
-def _proper_candidates(rep: QuiverRep):
-    """Theta-maximizing proper nonzero subrepresentations, one per source subspace."""
-    field = rep.field
-    d1, d2 = rep.d
-    assert isinstance(field, PrimeField)
-    for basis1 in subspaces(field, d1):
-        basis2 = _image_basis(rep, basis1)
-        w = (len(basis1), len(basis2))
-        if w == (0, 0):
-            # Any nonzero target subspace completes the zero source; take a line.
-            if d2 > 0 and (d1, d2) != (0, 1):
-                line = row_space_basis([(1,) + (0,) * (d2 - 1)], field)
-                yield SubrepWitness(basis1=(), basis2=line, theta=-5)
-            continue
-        if w == (d1, d2):
-            continue
-        yield SubrepWitness(basis1=basis1, basis2=basis2, theta=theta(w))
-
-
 def check_stability(rep: QuiverRep) -> StabilityVerdict:
     """King verdict for theta over a prime field, by exhaustive enumeration.
 
     Proper nonzero subrepresentations W are compared by theta against the
-    whole representation; the returned witness maximizes theta.  The search
-    space is cut down to minimal-W2 candidates, which is lossless because
-    enlarging W2 only lowers theta.
+    whole representation; the returned witness maximizes theta, the first
+    maximizer in enumeration order.  Through each source subspace W1 only
+    the minimal W2 = A(W1) + B(W1) + C(W1) is a candidate, which is lossless
+    because enlarging W2 only lowers theta.  Source subspaces are walked
+    row by row with the image's echelon basis extended per row on plain
+    ints; a partial basis of a k-dim W1 whose image already has dimension e
+    is pruned once theta(k, e) <= the best theta so far, which is lossless
+    too: every extension has an image of dimension >= e, and a candidate
+    replaces the best only on a strictly larger theta.
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -280,11 +273,40 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     if max(rep.d) > STABILITY_DIM_CAP:
         raise ValueError(f"dimensions capped at {STABILITY_DIM_CAP} for enumeration")
 
-    theta_v = theta(rep.d)
+    d1, d2 = rep.d
+    p = field.p
+    images: dict[Matrix, Echelon] = {(): ()}
+    mapped: dict[tuple[int, ...], list[list[int]]] = {}
+
     best: Optional[SubrepWitness] = None
-    for cand in _proper_candidates(rep):
-        if best is None or cand.theta > best.theta:
-            best = cand
+
+    def beaten(rows: Matrix, k: int) -> bool:
+        # The walk asks about every prefix of a basis, shortest first, so the
+        # image of rows[:-1] is already known: extend it by the new row's images.
+        basis = images.get(rows)
+        if basis is None:
+            v = rows[-1]
+            if v not in mapped:
+                mapped[v] = [[sum(map(mul, row, v)) % p for row in m] for m in rep.maps]
+            basis = images[rows] = echelon_extend(images[rows[:-1]], mapped[v], p)
+        return best is not None and theta((k, len(basis))) <= best.theta
+
+    for basis1 in subspaces(field, d1, prune=beaten):
+        w = (len(basis1), len(images[basis1]))
+        if w == (d1, d2):
+            continue
+        if w == (0, 0):
+            # Any nonzero target subspace completes the zero source; take a line.
+            if d2 > 0 and (d1, d2) != (0, 1):
+                line = row_space_basis([(1,) + (0,) * (d2 - 1)], field)
+                best = SubrepWitness(basis1=(), basis2=line, theta=-5)
+        else:
+            # Unpruned, so it beats the best so far: a new best.
+            best = SubrepWitness(basis1=basis1, basis2=_image_basis(rep, basis1), theta=theta(w))
+    return _verdict(best, theta(rep.d))
+
+
+def _verdict(best: Optional[SubrepWitness], theta_v: int) -> StabilityVerdict:
     if best is None or best.theta < theta_v:
         return StabilityVerdict(status=Stability.STABLE)
     if best.theta == theta_v:
@@ -311,11 +333,7 @@ def check_stability_pairs(rep: QuiverRep) -> StabilityVerdict:
             t = theta(w)
             if best is None or t > best.theta:
                 best = SubrepWitness(basis1=basis1, basis2=basis2, theta=t)
-    if best is None or best.theta < theta_v:
-        return StabilityVerdict(status=Stability.STABLE)
-    if best.theta == theta_v:
-        return StabilityVerdict(status=Stability.STRICTLY_SEMISTABLE, witness=best)
-    return StabilityVerdict(status=Stability.UNSTABLE, witness=best)
+    return _verdict(best, theta_v)
 
 
 @dataclass(frozen=True)

@@ -94,31 +94,6 @@ class TestRank:
 
 
 class TestCohomology:
-    def test_sections_of_u_twisted(self):
-        table = cohomology(twist(catalog("U"), 1))
-        assert table.dims() == {0: 5}
-        assert table.entries[0][1].highest_weight.coeffs == (1, 0, 0, 0)
-
-    def test_top_degree_of_deep_twist(self):
-        table = cohomology(twist(catalog("U"), -5))
-        assert table.dims() == {6: 5}
-        assert table.entries[0][1].highest_weight.coeffs == (0, 0, 0, 1)
-
-    def test_middle_twists_vanish(self):
-        for name in ("U", "Qstar"):
-            for j in range(0, 5):
-                assert cohomology(twist(catalog(name), -j)).is_zero()
-
-    def test_qstar_twisted(self):
-        table = cohomology(twist(catalog("Qstar"), 1))
-        assert table.dims() == {0: 10}
-        assert table.entries[0][1].highest_weight.coeffs == (0, 0, 1, 0)
-
-    def test_qstar_deep_twist(self):
-        table = cohomology(twist(catalog("Qstar"), -5))
-        assert table.dims() == {6: 5}
-        assert table.entries[0][1].highest_weight.coeffs == (1, 0, 0, 0)
-
     def test_bott_concentration(self):
         rng = random.Random(2718)
         for _ in range(300):

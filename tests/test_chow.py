@@ -6,6 +6,7 @@ import pytest
 
 from fanov5.bundles import bundle_rank, catalog, twist as twist_bundle
 from fanov5.chow import (
+    CATALOG_CLASSES,
     H,
     L,
     ONE,
@@ -131,6 +132,20 @@ class TestChi:
                 continue
             table_chi = sum((-1) ** i * d for i, d in res.table.dims().items())
             assert table_chi == chi(catalog_class(name), j), (name, j)
+
+    def test_closed_form_matches_class_products(self):
+        # the integral of ch * exp(t h) * todd, taken through ChowClass products
+        rng = random.Random(61)
+        twists = list(range(-12, 13)) + [Fraction(1, 2), Fraction(-7, 3)]
+        for ch in [b.ch() for b in CATALOG_CLASSES.values()] + [random_class(rng) for _ in range(40)]:
+            for t in twists:
+                want = (ch * exp_h(t) * todd_v5()).integrate()
+                if want.denominator == 1:
+                    got = chi_ch(ch, t)
+                    assert got == want and type(got) is int, (ch, t)
+                else:
+                    with pytest.raises(ArithmeticError, match=f"chi = {want} "):
+                        chi_ch(ch, t)
 
     def test_non_integral_data_is_rejected(self):
         # a fake odd-rank class whose character integrates to a fraction

@@ -91,6 +91,11 @@ class TestUlrich:
         assert data["is_ulrich"] is False
         assert data["witness"] == {"twist": 2, "degree": 3}
 
+    def test_codim_beyond_three(self, capsys):
+        code, out, _ = run_cli(capsys, "ulrich", "--bundle", "Sym2Ustar", "--codim", "4")
+        assert code == 0
+        assert out == '{"bundle":"Sym2Ustar","codim":4,"is_ulrich":true,"witness":null}\n'
+
     def test_indeterminate_exit_code(self, capsys):
         code, out, _ = run_cli(
             capsys, "ulrich", "--bundle", "O", "--twist", "-9", "--codim", "3"
@@ -251,6 +256,7 @@ class TestMalformedInput:
                 {"q": 3, "d": [2, 2], "A": 5, "B": [[0, 0]] * 2, "C": [[0, 0]] * 2},
             ),
             (("quiver", "moduli-dim", "--dim", "-3", "2"), None),
+            (("ulrich", "--bundle", "Sym2Ustar", "--codim", "7"), None),
         ],
     )
     def test_one_error_line(self, tmp_path, argv, payload):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 
 from fanov5.bundles import catalog, cohomology, twist
+from fanov5.checklist import SECTION_TABLES
 from fanov5.koszul import (
     RestrictionStatus,
     UlrichStatus,
@@ -12,17 +13,8 @@ from fanov5.koszul import (
     ulrich_check,
 )
 
-# the eight forced restriction tables: twists -2..1 of U and Qstar
-FORCED_TABLES = [
-    ("U", 1, {0: 5}),
-    ("Qstar", 1, {0: 10}),
-    ("U", 0, {}),
-    ("U", -1, {}),
-    ("Qstar", 0, {}),
-    ("Qstar", -1, {}),
-    ("U", -2, {3: 5}),
-    ("Qstar", -2, {3: 5}),
-]
+# the eight forced restriction tables of the section claims: twists -2..1 of U and Qstar
+FORCED_TABLES = [(name, j, dims) for _, name, j, dims in SECTION_TABLES]
 
 
 def ambient_euler(bundle, c: int) -> int:
@@ -123,7 +115,7 @@ class TestUlrichCheck:
         assert verdict.witness is None
 
     def test_sym2ustar_all_sections(self):
-        for c in (1, 2, 3):
+        for c in range(1, 7):
             verdict = ulrich_check(catalog("Sym2Ustar"), c)
             assert verdict.status is UlrichStatus.ULRICH, c
 
@@ -145,8 +137,10 @@ class TestUlrichCheck:
         assert verdict.witness == (1, 0)  # sections of O survive the twist
 
     def test_codim_cap(self):
-        with pytest.raises(ValueError):
-            ulrich_check(catalog("O"), 4)
+        # the range of koszul_page plus the ambient space: 0..6 on Gr(2,5)
+        for c in (-1, 7):
+            with pytest.raises(ValueError, match=f"codimension {c} out of range 0..6"):
+                ulrich_check(catalog("O"), c)
 
     def test_indeterminate_when_every_gauntlet_step_is_ambiguous(self):
         # deep twists put two-term first differentials on every page

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fanov5 import quiver
-from fanov5.linalg import QQ, PrimeField, field_for, rank, rref
+from fanov5.linalg import QQ, PrimeField, echelon_extend, field_for, rank, rref
 from fanov5.quiver import hom_ext, random_rep
 
 
@@ -135,6 +135,90 @@ class TestRationalElimination:
             assert [[Fraction(int(x.p), int(x.q)) for x in reduced.row(i)] for i in range(len(rows))] == [
                 list(row) for row in m
             ]
+
+
+def reference_rref_fp(rows, field):
+    """Gauss-Jordan over F_p through the field's methods: the elimination the echelon kernel replaced."""
+    m = [list(field.normalize(x) for x in row) for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rk = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rk, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rk], m[pivot] = m[pivot], m[rk]
+        inv = field.inv(m[rk][col])
+        m[rk] = [field.normalize(inv * x) for x in m[rk]]
+        for r in range(nrows):
+            if r != rk and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [field.normalize(x - factor * y) for x, y in zip(m[r], m[rk])]
+        rk += 1
+        if rk == nrows:
+            break
+    return tuple(tuple(row) for row in m), rk
+
+
+PRIMES = (2, 3, 5, 7, 1000000007)
+
+
+def corpus_fp(p, seed, size=200):
+    """Seeded integer matrices for F_p: empty, zero, wide, tall, dependent rows, entries off 0..p-1."""
+    rng = random.Random(seed * 7919 + p)
+    out = [[], [[]], [[], []], [[0, 0, 0]] * 3, [[p, -p, 2 * p]] * 2, [[1, 2, 3]] * 4]
+    for i in range(size):
+        shape = i % 4
+        if shape == 0:
+            nrows, ncols = rng.randint(1, 3), rng.randint(4, 9)  # wide
+        elif shape == 1:
+            nrows, ncols = rng.randint(4, 9), rng.randint(1, 3)  # tall
+        else:
+            nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        if i % 3 == 0:
+            draw = lambda: rng.randint(-3 * p, 3 * p)  # noqa: E731 - unreduced representatives
+        elif i % 3 == 1:
+            draw = lambda: rng.choice((0, 0, 0, 1, -1, p - 1))  # noqa: E731 - sparse, rank-deficient
+        else:
+            draw = lambda: rng.randrange(p)  # noqa: E731
+        rows = [[draw() for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and i % 5 == 0:
+            rows[-1] = list(rows[0])  # duplicate row
+        if nrows > 2 and i % 7 == 0:
+            rows[1] = [2 * x - y for x, y in zip(rows[0], rows[-1])]  # dependent row
+        out.append(rows)
+    return out
+
+
+class TestPrimeElimination:
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rref_matches_reference(self, p):
+        field = PrimeField(p)
+        for rows in corpus_fp(p, seed=1):
+            got = rref(rows, field)
+            assert got == reference_rref_fp(rows, field), rows
+            assert all(type(x) is int for row in got[0] for x in row), rows
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_rank_matches_rref(self, p):
+        field = PrimeField(p)
+        for rows in corpus_fp(p, seed=2):
+            assert rank(rows, field) == rref(rows, field)[1], rows
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_echelon_extend_is_incremental(self, p):
+        # folding the rows one at a time gives the basis of folding them all at once
+        for rows in corpus_fp(p, seed=3, size=60):
+            vectors = [[x % p for x in row] for row in rows]
+            basis = ()
+            for v in vectors:
+                basis = echelon_extend(basis, [v], p)
+            assert basis == echelon_extend((), vectors, p)
+            assert len(basis) == rref(rows, PrimeField(p))[1]
+            pivots = [c for c, _ in basis]
+            for i, (c, row) in enumerate(basis):
+                assert row[c] == 1 and not any(row[:c]), rows
+                assert all(row[earlier] == 0 for earlier in pivots[:i]), rows
 
 
 class TestPrimeField:

@@ -1,11 +1,17 @@
+import gc
 import random
+from itertools import combinations, product
+from typing import Optional
 
 import pytest
 
 from fanov5.linalg import QQ, PrimeField, count_subspaces, row_space_basis, subspaces
 from fanov5.quiver import (
     Stability,
+    StabilityVerdict,
+    SubrepWitness,
     QuiverRep,
+    _image_basis,
     check_stability,
     check_stability_pairs,
     direct_sum,
@@ -152,6 +158,166 @@ class TestSubspaces:
         assert sum(1 for _ in subspaces(F2, 4)) == count_subspaces(2, 4) == 67
         assert sum(1 for _ in subspaces(F3, 3)) == count_subspaces(3, 3) == 28
         assert sum(1 for _ in subspaces(F5, 2)) == count_subspaces(5, 2) == 8
+
+
+def reference_subspaces(field, n, dim=None):
+    """The pivot-pattern enumerator that the pruned depth-first walk replaced, verbatim."""
+    dims = range(n + 1) if dim is None else [dim]
+    for k in dims:
+        if k == 0:
+            yield ()
+            continue
+        for pivots in combinations(range(n), k):
+            free_positions = [
+                (r, c)
+                for r in range(k)
+                for c in range(pivots[r] + 1, n)
+                if c not in pivots
+            ]
+            for values in product(field.elements(), repeat=len(free_positions)):
+                rows = [[0] * n for _ in range(k)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = 1
+                for (r, c), val in zip(free_positions, values):
+                    rows[r][c] = val
+                yield tuple(tuple(row) for row in rows)
+
+
+def reference_candidates(rep):
+    """The unpruned candidate search of check_stability before pruning, verbatim but for the enumerator."""
+    field = rep.field
+    d1, d2 = rep.d
+    assert isinstance(field, PrimeField)
+    for basis1 in reference_subspaces(field, d1):
+        basis2 = _image_basis(rep, basis1)
+        w = (len(basis1), len(basis2))
+        if w == (0, 0):
+            # Any nonzero target subspace completes the zero source; take a line.
+            if d2 > 0 and (d1, d2) != (0, 1):
+                line = row_space_basis([(1,) + (0,) * (d2 - 1)], field)
+                yield SubrepWitness(basis1=(), basis2=line, theta=-5)
+            continue
+        if w == (d1, d2):
+            continue
+        yield SubrepWitness(basis1=basis1, basis2=basis2, theta=theta(w))
+
+
+def reference_check_stability(rep):
+    theta_v = theta(rep.d)
+    best: Optional[SubrepWitness] = None
+    for cand in reference_candidates(rep):
+        if best is None or cand.theta > best.theta:
+            best = cand
+    if best is None or best.theta < theta_v:
+        return StabilityVerdict(status=Stability.STABLE)
+    if best.theta == theta_v:
+        return StabilityVerdict(status=Stability.STRICTLY_SEMISTABLE, witness=best)
+    return StabilityVerdict(status=Stability.UNSTABLE, witness=best)
+
+
+def stability_corpus():
+    """Seeded representations over F2/F3/F5 at every d <= (4,4).
+
+    Zero, random, rank-one and direct-sum representations; over F5 a source
+    of dimension 4 (1,120 subspaces for the reference) gets fewer of them.
+    """
+    rng = random.Random(4242)
+    for field in (F2, F3, F5):
+        p = field.p
+        for d1, d2 in product(range(5), repeat=2):
+            heavy = p == 5 and d1 == 4
+            yield zero_rep(field, (d1, d2))
+            for _ in range(1 if heavy else 3):
+                yield random_rep((d1, d2), field, rng.randrange(10**6))
+            if heavy and d2 < 4:
+                continue
+            u = [rng.randrange(1, p) for _ in range(d2)]
+            yield make_rep(field, (d1, d2), *(
+                [[ui * rng.randrange(p) for _ in range(d1)] for ui in u] for _ in range(3)
+            ))
+            if d1 and d2:
+                a1, a2 = rng.randint(0, d1), rng.randint(0, d2)
+                x = random_rep((a1, a2), field, rng.randrange(10**6))
+                y = random_rep((d1 - a1, d2 - a2), field, rng.randrange(10**6))
+                yield direct_sum(x, y)
+
+
+class TestPrunedSearch:
+    def test_verdicts_match_unpruned_reference(self):
+        checked = 0
+        for rep in stability_corpus():
+            assert check_stability(rep) == reference_check_stability(rep), rep.to_json()
+            checked += 1
+        assert checked > 300
+
+    def test_agrees_with_pair_oracle_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def reps(draw):
+            field = PrimeField(draw(st.sampled_from((2, 3))))
+            d1, d2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+            entry = st.integers(0, field.p - 1)
+            mat = st.lists(st.lists(entry, min_size=d1, max_size=d1), min_size=d2, max_size=d2)
+            return make_rep(field, (d1, d2), draw(mat), draw(mat), draw(mat))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(reps())
+        def check(rep):
+            fast, slow = check_stability(rep), check_stability_pairs(rep)
+            assert fast.status == slow.status
+            assert (fast.witness is None) == (slow.witness is None)
+            if fast.witness is not None:
+                assert fast.witness.theta == slow.witness.theta
+
+        check()
+
+
+    def test_search_leaves_no_reference_cycle(self):
+        # the memo of image bases must go with the call, not wait for the cyclic collector
+        rep = random_rep((3, 3), F3, 5)
+        gc.collect()
+        gc.disable()
+        try:
+            check_stability(rep)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestSubspaceWalk:
+    @pytest.mark.parametrize("p, n", [(2, 0), (2, 3), (2, 4), (3, 3), (3, 4), (5, 2), (5, 4)])
+    def test_unpruned_sequence_unchanged(self, p, n):
+        field = PrimeField(p)
+        assert list(subspaces(field, n)) == list(reference_subspaces(field, n))
+        for k in range(n + 2):
+            assert list(subspaces(field, n, k)) == list(reference_subspaces(field, n, k))
+
+    def test_prune_cuts_every_extension(self):
+        full = list(subspaces(F3, 4))
+        for cut in {b[:j] for b in full for j in range(1, len(b) + 1)}:
+            seen = []
+
+            def prune(rows, k):
+                seen.append((rows, k))
+                return rows == cut
+
+            got = list(subspaces(F3, 4, prune=prune))
+            # the walk skips exactly the bases of the pruned dimension that start with ``cut``
+            k_cut = [k for rows, k in seen if rows == cut]
+            assert k_cut, cut
+            dropped = [b for b in full if len(b) in k_cut and b[: len(cut)] == cut]
+            assert got == [b for b in full if b not in dropped], cut
+
+    def test_prune_sees_every_nonempty_prefix(self):
+        seen = []
+        got = list(subspaces(F2, 3, prune=lambda rows, k: seen.append((rows, k)) or False))
+        assert got == list(reference_subspaces(F2, 3))
+        assert {(b[:j], len(b)) for b in got for j in range(1, len(b) + 1)} == set(seen)
+
+    def test_prune_always_leaves_only_zero_space(self):
+        assert list(subspaces(F5, 3, prune=lambda rows, k: True)) == [()]
 
 
 class TestStability:
