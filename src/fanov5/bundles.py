@@ -151,7 +151,3 @@ def cohomology(b: EquivariantBundle) -> CohomologyTable:
     hw = res.dominant - rho(b.n)
     entry = CohomologyEntry(dim=weyl_dim(res.dominant), highest_weight=hw)
     return CohomologyTable(((res.length, entry),))
-
-
-def euler_characteristic(b: EquivariantBundle) -> int:
-    return cohomology(b).euler_characteristic()

@@ -57,11 +57,15 @@ class ChowClass:
         return ChowClass(*_product(self.coefficients(), other.coefficients()))
 
     def __pow__(self, e: int) -> "ChowClass":
+        """``self`` to a nonnegative power, by square-and-multiply."""
         if e < 0:
-            return chow_inverse(self) ** (-e)
-        out = ONE
-        for _ in range(e):
-            out = out * self
+            raise ValueError(f"exponent must be nonnegative, got {e}")
+        out, base = ONE, self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
         return out
 
     def integrate(self) -> Fraction:

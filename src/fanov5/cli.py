@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import bundles, checklist, chow, koszul, quiver
@@ -62,17 +61,11 @@ def _witness_json(w: Optional[quiver.SubrepWitness]) -> Any:
     if w is None:
         return None
     return {
-        "basis1": [list(map(_num_json, row)) for row in w.basis1],
-        "basis2": [list(map(_num_json, row)) for row in w.basis2],
+        "basis1": [list(row) for row in w.basis1],
+        "basis2": [list(row) for row in w.basis2],
         "dims": list(w.dims),
         "theta": w.theta,
     }
-
-
-def _num_json(x) -> Any:
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else str(x)
-    return int(x)
 
 
 def _flatten(value: Any, path: str, rows: list[tuple[str, str]]) -> None:
@@ -140,7 +133,7 @@ def build_parser() -> Parser:
     p_ulrich.add_argument("--codim", type=int, required=True)
     p_ulrich.add_argument("--assume-generic", action="store_true")
 
-    p_chow = sub.add_parser("chow", parents=[fmt_parent], help="intersection theory on the threefold")
+    p_chow = sub.add_parser("chow", help="intersection theory on the threefold")
     chow_sub = p_chow.add_subparsers(dest="chow_command", required=True)
     pc = chow_sub.add_parser("chi", parents=[fmt_parent])
     pc.add_argument("--bundle", required=True, choices=tuple(chow.CATALOG_CLASSES))
@@ -155,7 +148,7 @@ def build_parser() -> Parser:
     pc.add_argument("--rank", type=int, required=True)
     chow_sub.add_parser("todd", parents=[fmt_parent])
 
-    p_quiver = sub.add_parser("quiver", parents=[fmt_parent], help="Kronecker quiver computations")
+    p_quiver = sub.add_parser("quiver", help="Kronecker quiver computations")
     q_sub = p_quiver.add_subparsers(dest="quiver_command", required=True)
     pq = q_sub.add_parser("euler-form", parents=[fmt_parent])
     pq.add_argument("--dim", type=int, nargs=2, required=True)
@@ -318,10 +311,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "verify": _run_verify,
         }[args.command]
         return handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, ArithmeticError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (CliError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -3,10 +3,10 @@
 Matrices are tuples of row tuples.  Entries are ints reduced mod p for a
 prime field, or fractions.Fraction over the rationals.  Over F_p one kernel,
 ``echelon_extend``, folds rows on plain ints into a semi-echelon basis with
-monic pivots; rank is its length, and rref sorts it by pivot and clears
-above the pivots.  Over Q each row is scaled to integers and eliminated
-fraction-free over Z (Bareiss, Math. Comp. 22, 1968), so no Fraction is
-built until a reduced matrix is returned.
+monic pivots; rank is its length, and ``reduce_echelon`` sorts it by pivot
+and clears above the pivots, which gives rref.  Over Q each row is scaled
+to integers and eliminated fraction-free over Z (Bareiss, Math. Comp. 22,
+1968), so no Fraction is built until a reduced matrix is returned.
 """
 
 from __future__ import annotations
@@ -59,25 +59,11 @@ class PrimeField:
     def elements(self) -> range:
         return range(self.p)
 
-    def __str__(self) -> str:
-        return f"F{self.p}"
 
-
+@dataclass(frozen=True)
 class RationalField:
     def normalize(self, x) -> Fraction:
         return Fraction(x)
-
-    def inv(self, x) -> Fraction:
-        return 1 / Fraction(x)
-
-    def __str__(self) -> str:
-        return "Q"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("RationalField")
 
 
 QQ = RationalField()
@@ -169,26 +155,34 @@ def _echelon_fp(rows: Sequence[Sequence[Entry]], p: int) -> Echelon:
     return echelon_extend((), [[int(x) % p for x in row] for row in rows], p)
 
 
-def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank."""
-    if isinstance(field, RationalField):
-        m, rk, last = _fraction_free(rows, reduce_above=True)
-        return tuple(tuple(Fraction(x, last) for x in row) for row in m), rk
-    p = field.p
-    basis = sorted(_echelon_fp(rows, p))
+def reduce_echelon(basis: Echelon, p: int) -> Matrix:
+    """The RREF basis of the span of a semi-echelon ``basis`` over F_p.
+
+    Rows are sorted by pivot, then cleared above each pivot, last pivot
+    first: a row used to clear the rows above it is already zero at every
+    later pivot.  The RREF of a subspace is unique, so any semi-echelon
+    basis of the same span gives the same matrix.
+    """
+    basis = sorted(basis)
     pivots = [c for c, _ in basis]
     m = [list(row) for _, row in basis]
-    # Gauss-Jordan back substitution, last pivot first: a row used to clear
-    # the rows above it is already zero at every later pivot.
     for i in reversed(range(len(m))):
         c, top = pivots[i], m[i]
         for r in range(i):
             f = m[r][c]
             if f:
                 m[r] = [(x - f * y) % p for x, y in zip(m[r], top)]
-    ncols = len(rows[0]) if rows else 0
-    zero = (0,) * ncols
-    return tuple(map(tuple, m)) + (zero,) * (len(rows) - len(m)), len(m)
+    return tuple(map(tuple, m))
+
+
+def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
+    """Reduced row echelon form and rank."""
+    if isinstance(field, RationalField):
+        m, rk, last = _fraction_free(rows, reduce_above=True)
+        return tuple(tuple(Fraction(x, last) for x in row) for row in m), rk
+    m = reduce_echelon(_echelon_fp(rows, field.p), field.p)
+    zero = (0,) * (len(rows[0]) if rows else 0)
+    return m + (zero,) * (len(rows) - len(m)), len(m)
 
 
 def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
@@ -210,9 +204,7 @@ def row_space_basis(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
 Prune = Callable[[Matrix, int], bool]
 
 
-def subspaces(
-    field: PrimeField, n: int, dim: Union[int, None] = None, prune: Optional[Prune] = None
-) -> Iterator[Matrix]:
+def subspaces(field: PrimeField, n: int, prune: Optional[Prune] = None) -> Iterator[Matrix]:
     """All subspaces of F_p^n as canonical RREF bases (the 0 space is ``()``).
 
     For each dimension k and each pivot-column pattern, a depth-first walk
@@ -229,7 +221,7 @@ def subspaces(
     if not isinstance(field, PrimeField):
         raise TypeError("subspace enumeration needs a finite field")
     elements = field.elements()
-    for k in range(n + 1) if dim is None else [dim]:
+    for k in range(n + 1):
         for pivots in combinations(range(n), k):
             yield from _walk((), pivots, n, elements, prune)
 

@@ -40,6 +40,7 @@ from .linalg import (
     mat_vec,
     matrix,
     rank,
+    reduce_echelon,
     row_space_basis,
     subspaces,
 )
@@ -116,6 +117,9 @@ class QuiverRep:
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("representation must be a JSON object")
+        missing = [key for key in ("q", "d", "A", "B", "C") if key not in payload]
+        if missing:
+            raise ValueError(f"representation is missing key {missing[0]!r}")
         field = field_for(payload["q"])
         d = dim_vector(payload["d"])
         mats = []
@@ -263,7 +267,8 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     ints; a partial basis of a k-dim W1 whose image already has dimension e
     is pruned once theta(k, e) <= the best theta so far, which is lossless
     too: every extension has an image of dimension >= e, and a candidate
-    replaces the best only on a strictly larger theta.
+    replaces the best only on a strictly larger theta.  A new best's W2 is
+    that echelon basis brought to RREF.
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -298,11 +303,13 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
         if w == (0, 0):
             # Any nonzero target subspace completes the zero source; take a line.
             if d2 > 0 and (d1, d2) != (0, 1):
-                line = row_space_basis([(1,) + (0,) * (d2 - 1)], field)
-                best = SubrepWitness(basis1=(), basis2=line, theta=-5)
+                line = ((1,) + (0,) * (d2 - 1),)
+                best = SubrepWitness(basis1=(), basis2=line, theta=theta((0, 1)))
         else:
-            # Unpruned, so it beats the best so far: a new best.
-            best = SubrepWitness(basis1=basis1, basis2=_image_basis(rep, basis1), theta=theta(w))
+            # Unpruned, so it beats the best so far: a new best, its W2 the
+            # RREF of the image basis already in the memo.
+            basis2 = reduce_echelon(images[basis1], p)
+            best = SubrepWitness(basis1=basis1, basis2=basis2, theta=theta(w))
     return _verdict(best, theta(rep.d))
 
 
@@ -334,43 +341,3 @@ def check_stability_pairs(rep: QuiverRep) -> StabilityVerdict:
             if best is None or t > best.theta:
                 best = SubrepWitness(basis1=basis1, basis2=basis2, theta=t)
     return _verdict(best, theta_v)
-
-
-@dataclass(frozen=True)
-class RationalCertificate:
-    """Non-exhaustive stability evidence for a rational representation."""
-
-    trials: int
-    violation: Optional[SubrepWitness]
-
-    @property
-    def consistent_with_stable(self) -> bool:
-        return self.violation is None
-
-
-def sample_stability_certificate(
-    rep: QuiverRep, trials: int = 200, seed: int = 0
-) -> RationalCertificate:
-    """Sample random source subspaces over Q looking for theta >= theta(rep).
-
-    Finding a violating subrepresentation disproves stability; finding none
-    proves nothing (the certificate is explicitly non-exhaustive).
-    """
-    if rep.field != QQ:
-        raise ValueError("sampling certificate is for rational representations")
-    rng = Random(seed)
-    d1, _ = rep.d
-    theta_v = theta(rep.d)
-    worst: Optional[SubrepWitness] = None
-    for _ in range(trials):
-        k = rng.randint(0, d1)
-        raw = [[Fraction(rng.randint(-5, 5)) for _ in range(d1)] for _ in range(k)]
-        basis1 = row_space_basis(raw, QQ)
-        basis2 = _image_basis(rep, basis1)
-        w = (len(basis1), len(basis2))
-        if w == (0, 0) or w == rep.d:
-            continue
-        t = theta(w)
-        if t >= theta_v and (worst is None or t > worst.theta):
-            worst = SubrepWitness(basis1=basis1, basis2=basis2, theta=t)
-    return RationalCertificate(trials=trials, violation=worst)

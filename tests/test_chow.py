@@ -85,6 +85,16 @@ class TestRingAxioms:
                 continue
             assert x * chow_inverse(x) == ONE
 
+    def test_power_is_repeated_product(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            x, product = random_class(rng), ONE
+            for e in range(10):
+                assert x ** e == product
+                product = product * x
+        with pytest.raises(ValueError):
+            H ** -1
+
     def test_exp_h_is_a_homomorphism(self):
         for s in range(-4, 5):
             for t in range(-4, 5):
@@ -252,6 +262,10 @@ class TestCokerClass:
 
     def test_rank_one(self):
         assert coker_class(1).rank == 1
+
+    def test_large_rank_is_fast(self):
+        # square-and-multiply takes ~40 products here, not a million
+        assert coker_class(10**6).as_tuple() == (10**6, 0, 10**6, 0)
 
 
 class TestTwistClass:

@@ -257,6 +257,9 @@ class TestMalformedInput:
             ),
             (("quiver", "moduli-dim", "--dim", "-3", "2"), None),
             (("ulrich", "--bundle", "Sym2Ustar", "--codim", "7"), None),
+            # --format belongs to the leaf command, not to its group
+            (("chow", "--format", "table", "todd"), None),
+            (("quiver", "--format", "table", "theta", "--dim", "2", "1"), None),
         ],
     )
     def test_one_error_line(self, tmp_path, argv, payload):

@@ -5,7 +5,16 @@ from fractions import Fraction
 import pytest
 
 from fanov5 import quiver
-from fanov5.linalg import QQ, PrimeField, echelon_extend, field_for, rank, rref
+from fanov5.linalg import (
+    QQ,
+    PrimeField,
+    echelon_extend,
+    field_for,
+    rank,
+    reduce_echelon,
+    row_space_basis,
+    rref,
+)
 from fanov5.quiver import hom_ext, random_rep
 
 
@@ -215,6 +224,7 @@ class TestPrimeElimination:
                 basis = echelon_extend(basis, [v], p)
             assert basis == echelon_extend((), vectors, p)
             assert len(basis) == rref(rows, PrimeField(p))[1]
+            assert reduce_echelon(basis, p) == row_space_basis(rows, PrimeField(p)), rows
             pivots = [c for c, _ in basis]
             for i, (c, row) in enumerate(basis):
                 assert row[c] == 1 and not any(row[:c]), rows

@@ -20,7 +20,6 @@ from fanov5.quiver import (
     make_rep,
     moduli_dim,
     random_rep,
-    sample_stability_certificate,
     theta,
     zero_rep,
 )
@@ -28,6 +27,7 @@ from fanov5.quiver import (
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+MISSING = object()  # a payload value that stands for a deleted key
 
 
 class TestEulerForm:
@@ -160,10 +160,12 @@ class TestSubspaces:
         assert sum(1 for _ in subspaces(F5, 2)) == count_subspaces(5, 2) == 8
 
 
-def reference_subspaces(field, n, dim=None):
-    """The pivot-pattern enumerator that the pruned depth-first walk replaced, verbatim."""
-    dims = range(n + 1) if dim is None else [dim]
-    for k in dims:
+def reference_subspaces(field, n):
+    """The pivot-pattern enumerator that the pruned depth-first walk replaced.
+
+    Verbatim but for its option to enumerate one dimension only.
+    """
+    for k in range(n + 1):
         if k == 0:
             yield ()
             continue
@@ -291,8 +293,6 @@ class TestSubspaceWalk:
     def test_unpruned_sequence_unchanged(self, p, n):
         field = PrimeField(p)
         assert list(subspaces(field, n)) == list(reference_subspaces(field, n))
-        for k in range(n + 2):
-            assert list(subspaces(field, n, k)) == list(reference_subspaces(field, n, k))
 
     def test_prune_cuts_every_extension(self):
         full = list(subspaces(F3, 4))
@@ -390,17 +390,6 @@ class TestStability:
             check_stability(random_rep((1, 1), QQ, 0))
 
 
-class TestRationalCertificate:
-    def test_zero_rep_violation_found(self):
-        cert = sample_stability_certificate(zero_rep(QQ, (2, 2)), trials=100, seed=1)
-        assert not cert.consistent_with_stable
-        assert cert.violation.theta >= 0
-
-    def test_generic_rep_no_violation(self):
-        cert = sample_stability_certificate(random_rep((2, 2), QQ, 3), trials=100, seed=2)
-        assert cert.consistent_with_stable
-
-
 class TestRandomRep:
     def test_deterministic(self):
         a = random_rep((2, 3), F5, 99)
@@ -436,6 +425,7 @@ class TestJsonRoundTrip:
             ({"C": [["1/2", 0], [0, 0]]}, "C"),
             ({"q": [3]}, "q"),
             ({"q": 4}, "4"),
+            ({"C": MISSING}, "C"),
         ],
     )
     def test_malformed_payload_names_key(self, change, key):
@@ -443,6 +433,7 @@ class TestJsonRoundTrip:
 
         payload = json.loads(random_rep((2, 2), F3, 1).to_json())
         payload.update(change)
+        payload = {k: v for k, v in payload.items() if v is not MISSING}
         with pytest.raises(ValueError, match=key):
             QuiverRep.from_json(json.dumps(payload))
 
