@@ -11,6 +11,11 @@ the (h, l, p) basis.  The Todd class is 1 + h + (8/3)l + p: c1 of the
 tangent bundle is 2h (index 2) and c2 is 12l, the unique value making
 chi(O) = 1; chi(O(1)) = 7 then matches the embedding in P^6, which the
 Koszul chase reproduces independently.
+
+Riemann-Roch gives chi(E(t)) as one cubic in t (``_chi_cubic``), which
+both ``chi`` and ``hilbert_polynomial`` read.  Solving for Chern data is
+closed-form coefficient matching, so the module needs no linear algebra
+and imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 from typing import Union
-
-from .linalg import QQ, rref
 
 Scalar = Union[int, Fraction]
 
@@ -161,9 +164,6 @@ class BundleClass:
     def total_chern(self) -> ChowClass:
         return ChowClass(1, self.c1, self.c2, self.c3)
 
-    def dual(self) -> "BundleClass":
-        return BundleClass(self.rank, -self.c1, self.c2, -self.c3)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.rank, self.c1, self.c2, self.c3)
 
@@ -193,20 +193,28 @@ def class_from_total_chern(rank: int, c: ChowClass) -> BundleClass:
     )
 
 
-def chi_ch(ch: ChowClass, t: Scalar = 0) -> int:
-    """Euler characteristic of a Chern-character class twisted by O(t).
+def _chi_cubic(ch: ChowClass) -> tuple[tuple[int, int, int, int], int]:
+    """Integer numerators (t^0..t^3) of chi(E(t)) over one common denominator.
 
     With g = ch * todd, the integral of g * exp(t*h) is the cubic
-    g3 + g2 t + (5/2) g1 t^2 + (5/6) g0 t^3 (as h^2 = 5l, h^3 = 5p), here
-    evaluated on integer numerators over one common denominator.
+    g3 + g2 t + (5/2) g1 t^2 + (5/6) g0 t^3 (as h^2 = 5l, h^3 = 5p).
     """
     x, den = _integral(ch)
     y, todd_den = _integral(todd_v5())
     g0, g1, g2, g3 = _product(x, y)
+    return (6 * g3, 6 * g2, 15 * g1, 5 * g0), 6 * den * todd_den
+
+
+def chi_ch(ch: ChowClass, t: Scalar = 0) -> int:
+    """Euler characteristic of a Chern-character class twisted by O(t).
+
+    The cubic of ``_chi_cubic`` evaluated at t = n/m on integers.
+    """
+    (c0, c1, c2, c3), den = _chi_cubic(ch)
     t = Fraction(t)
     n, m = t.numerator, t.denominator
-    num = 6 * g3 * m**3 + 6 * g2 * n * m * m + 15 * g1 * n * n * m + 5 * g0 * n**3
-    return _as_int(Fraction(num, 6 * den * todd_den * m**3), "chi")
+    num = c0 * m**3 + c1 * n * m * m + c2 * n * n * m + c3 * n**3
+    return _as_int(Fraction(num, den * m**3), "chi")
 
 
 def chi(b: BundleClass, t: int = 0) -> int:
@@ -236,17 +244,15 @@ def twist_class(b: BundleClass, t: int) -> BundleClass:
 
 
 def hilbert_polynomial(b: BundleClass) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Coefficients (t^0..t^3) of chi(E(t)); leading term is 5*rank/6."""
-    values = [chi(b, t) for t in range(4)]
-    # Newton forward differences of a cubic sampled at t = 0..3.
-    d1 = [values[i + 1] - values[i] for i in range(3)]
-    d2 = [d1[i + 1] - d1[i] for i in range(2)]
-    d3 = d2[1] - d2[0]
-    c0 = Fraction(values[0])
-    c3 = Fraction(d3, 6)
-    c2 = Fraction(d2[0], 2) - 3 * c3
-    c1 = Fraction(values[1]) - c0 - c2 - c3
-    return (c0, c1, c2, c3)
+    """Coefficients (t^0..t^3) of chi(E(t)); leading term is 5*rank/6.
+
+    Raises ArithmeticError, as ``chi`` does, for Chern data whose cubic is
+    not integer-valued; a cubic is integer-valued when it is at t = 0..3.
+    """
+    for t in range(4):
+        chi(b, t)
+    coeffs, den = _chi_cubic(b.ch())
+    return tuple(Fraction(c, den) for c in coeffs)
 
 
 def ulrich_class(r: int) -> BundleClass:
@@ -258,23 +264,17 @@ def ulrich_class(r: int) -> BundleClass:
 
         (5r/6) t^3 + (5A/2 + 5r/2) t^2 + (B + 5A + 8r/3) t + (C + B + 8A/3 + r),
 
-    which is linear in (A, B, C); the three root conditions determine them
-    uniquely and the result is always integral Chern data.
+    and matching it with (5r/6)(t^3 + 6t^2 + 11t + 6) is triangular: the t^2
+    coefficient gives A, then t gives B, then the constant gives C.  The
+    solution (A, B, C) = (r, 3r/2, -r/6) is always integral Chern data.
     """
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
-    rows = []
     lead = Fraction(5 * r, 6)
-    for t in (-1, -2, -3):
-        # coefficient vector of (A, B, C) in chi(E(t)), plus the constant part
-        coeff_a = Fraction(5 * t * t, 2) + 5 * t + Fraction(8, 3)
-        coeff_b = Fraction(t + 1)
-        coeff_c = Fraction(1)
-        const = lead * t ** 3 + Fraction(5 * r, 2) * t * t + Fraction(8 * r, 3) * t + r
-        rows.append([coeff_a, coeff_b, coeff_c, -const])
-    reduced, _ = rref(rows, QQ)
-    a, b_, c_ = (row[3] for row in reduced)
-    return class_from_ch(r, ChowClass(r, a, b_, c_))
+    a = (6 * lead - Fraction(5 * r, 2)) * Fraction(2, 5)
+    b = 11 * lead - 5 * a - Fraction(8 * r, 3)
+    c = 6 * lead - b - Fraction(8, 3) * a - r
+    return class_from_ch(r, ChowClass(r, a, b, c))
 
 
 def coker_class(r: int) -> BundleClass:

@@ -255,13 +255,13 @@ def _load_rep(path: str) -> quiver.QuiverRep:
 def _run_quiver(args) -> int:
     cmd = args.quiver_command
     if cmd == "euler-form":
-        a = tuple(args.dim)
-        b = tuple(args.dim2) if args.dim2 else a
+        a = quiver.dim_vector(args.dim)
+        b = quiver.dim_vector(args.dim2) if args.dim2 else a
         emit(quiver.euler_form(a, b), args.format)
     elif cmd == "theta":
-        emit(quiver.theta(tuple(args.dim)), args.format)
+        emit(quiver.theta(quiver.dim_vector(args.dim)), args.format)
     elif cmd == "moduli-dim":
-        emit(quiver.moduli_dim(tuple(args.dim)), args.format)
+        emit(quiver.moduli_dim(args.dim), args.format)
     elif cmd == "hom-ext":
         if len(args.matrices) not in (1, 2):
             raise CliError("--matrices takes one or two paths")

@@ -4,9 +4,11 @@ Matrices are tuples of row tuples.  Entries are ints reduced mod p for a
 prime field, or fractions.Fraction over the rationals.  Over F_p one kernel,
 ``echelon_extend``, folds rows on plain ints into a semi-echelon basis with
 monic pivots; rank is its length, and ``reduce_echelon`` sorts it by pivot
-and clears above the pivots, which gives rref.  Over Q each row is scaled
-to integers and eliminated fraction-free over Z (Bareiss, Math. Comp. 22,
-1968), so no Fraction is built until a reduced matrix is returned.
+and clears above the pivots, which gives rref.  Over Q the toolkit needs
+only rank (``hom_ext``): each row is scaled to integers and eliminated
+fraction-free over Z (Bareiss, Math. Comp. 22, 1968), below the pivots
+only, so no Fraction is built.  ``rref`` and subspace enumeration serve
+prime fields only and raise TypeError over Q.
 """
 
 from __future__ import annotations
@@ -87,13 +89,11 @@ def mat_vec(m: Matrix, v: Sequence[Entry], field: Field) -> tuple[Entry, ...]:
     return tuple(field.normalize(sum(a * b for a, b in zip(row, v))) for row in m)
 
 
-def _fraction_free(rows: Sequence[Sequence[Entry]], reduce_above: bool) -> tuple[list[list[int]], int, int]:
-    """Bareiss elimination over Z of rational rows, each scaled by its denominators' lcm.
+def _fraction_free(rows: Sequence[Sequence[Entry]]) -> int:
+    """Rank over Q by Bareiss elimination over Z, each row scaled by its denominators' lcm.
 
-    A pivot p turns every other row into (p*row - f*pivot_row) // prev, an
-    exact division by the previous pivot.  ``reduce_above`` also clears the
-    rows above (Gauss-Jordan), which leaves every pivot equal to the last
-    one.  Returns (integer rows, rank, last pivot).
+    A pivot p turns every row below it into (p*row - f*pivot_row) // prev,
+    an exact division by the previous pivot.  ``rows`` is nonempty.
     """
     m = []
     for row in rows:
@@ -101,28 +101,23 @@ def _fraction_free(rows: Sequence[Sequence[Entry]], reduce_above: bool) -> tuple
         scale = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (scale // x.denominator) for x in row])
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     rank, prev = 0, 1
-    for col in range(ncols):
+    for col in range(len(m[0])):
         pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         top = m[rank]
         p = top[col]
-        for r in range(0 if reduce_above else rank + 1, nrows):
-            if r == rank:
-                continue
-            # Below the pivot row the columns left of col are already zero.
-            lo = 0 if r < rank else col
-            row = m[r]
+        # Below the pivot row the columns left of col are already zero.
+        for row in m[rank + 1:]:
             f = row[col]
-            row[lo:] = [(p * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+            row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
         rank += 1
         prev = p
         if rank == nrows:
             break
-    return m, rank, prev
+    return rank
 
 
 # A semi-echelon basis over F_p: (pivot column, row) pairs whose rows are
@@ -176,10 +171,9 @@ def reduce_echelon(basis: Echelon, p: int) -> Matrix:
 
 
 def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank."""
-    if isinstance(field, RationalField):
-        m, rk, last = _fraction_free(rows, reduce_above=True)
-        return tuple(tuple(Fraction(x, last) for x in row) for row in m), rk
+    """Reduced row echelon form and rank over a prime field."""
+    if not isinstance(field, PrimeField):
+        raise TypeError("rref needs a prime field; over Q only rank is provided")
     m = reduce_echelon(_echelon_fp(rows, field.p), field.p)
     zero = (0,) * (len(rows[0]) if rows else 0)
     return m + (zero,) * (len(rows) - len(m)), len(m)
@@ -189,12 +183,12 @@ def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
     if not rows or not rows[0]:
         return 0
     if isinstance(field, RationalField):
-        return _fraction_free(rows, reduce_above=False)[1]
+        return _fraction_free(rows)
     return len(_echelon_fp(rows, field.p))
 
 
 def row_space_basis(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
-    """Canonical (RREF) basis of the span of the given rows."""
+    """Canonical (RREF) basis of the span of the given rows over a prime field."""
     if not rows:
         return ()
     reduced, rk = rref(rows, field)

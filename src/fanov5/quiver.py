@@ -146,9 +146,7 @@ def _entry_parse(x, name: str, field: Field):
 
 
 def make_rep(field: Field, d: DimVector, A, B, C) -> QuiverRep:
-    d1, d2 = d
-    fix = lambda m: matrix(m, field) if d1 and d2 else tuple(() for _ in range(d2))
-    return QuiverRep(field=field, d=d, A=fix(A), B=fix(B), C=fix(C))
+    return QuiverRep(field=field, d=d, A=matrix(A, field), B=matrix(B, field), C=matrix(C, field))
 
 
 def zero_rep(field: Field, d: DimVector) -> QuiverRep:

@@ -162,13 +162,16 @@ class TestChi:
         bad = ChowClass(1, Fraction(1, 2), 0, 0)
         with pytest.raises(ArithmeticError):
             chi_ch(bad)
+        # integer Chern data whose Riemann-Roch cubic is not integer-valued
+        with pytest.raises(ArithmeticError, match="chi = 3/2 "):
+            hilbert_polynomial(BundleClass(1, 0, 0, 1))
 
 
 class TestDualsAndTensors:
     def test_dual_of_u(self):
         assert ch_dual(catalog_class("U")) == catalog_class("Ustar").ch()
-        assert catalog_class("U").dual() == catalog_class("Ustar")
-        assert catalog_class("Q").dual() == catalog_class("Qstar")
+        assert ch_dual(catalog_class("Q")) == catalog_class("Qstar").ch()
+        assert ch_dual(catalog_class("Ustar")) == catalog_class("U").ch()
 
     def test_tensor_with_trivial(self):
         for name in ("U", "Q", "Sym2Ustar"):

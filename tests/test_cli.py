@@ -103,6 +103,15 @@ class TestUlrich:
         assert code == 2
         assert json.loads(out)["is_ulrich"] is None
 
+    def test_generic_flag(self, capsys):
+        argv = ("ulrich", "--bundle", "U", "--twist", "-2", "--codim", "3")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["is_ulrich"] is None
+        code, out, _ = run_cli(capsys, *argv, "--assume-generic")
+        assert code == 0
+        assert out == '{"bundle":"U","codim":3,"is_ulrich":false,"witness":{"degree":3,"twist":1}}\n'
+
 
 class TestChow:
     def test_chi(self, capsys):
@@ -260,6 +269,8 @@ class TestMalformedInput:
             # --format belongs to the leaf command, not to its group
             (("chow", "--format", "table", "todd"), None),
             (("quiver", "--format", "table", "theta", "--dim", "2", "1"), None),
+            (("quiver", "theta", "--dim", "-3", "2"), None),
+            (("quiver", "euler-form", "--dim", "-1", "2", "--dim2", "3", "4"), None),
         ],
     )
     def test_one_error_line(self, tmp_path, argv, payload):
@@ -275,6 +286,17 @@ class TestMalformedInput:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_zero_dimension_keeps_shape_check(self, tmp_path):
+        payload = {"q": 3, "d": [2, 0], "A": [[1, 2]], "B": [[5, 5], [1, 1]], "C": [[7]]}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanov5.cli", "quiver", "hom-ext", "--matrices", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: map A must be 0x2\n")
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from fanov5.bundles import catalog, cohomology, twist
+from fanov5.bundles import EquivariantBundle, catalog, cohomology, twist
 from fanov5.checklist import SECTION_TABLES
 from fanov5.koszul import (
     RestrictionStatus,
@@ -12,6 +12,7 @@ from fanov5.koszul import (
     restrict_cohomology,
     ulrich_check,
 )
+from fanov5.weights import Weight
 
 # the eight forced restriction tables of the section claims: twists -2..1 of U and Qstar
 FORCED_TABLES = [(name, j, dims) for _, name, j, dims in SECTION_TABLES]
@@ -66,6 +67,17 @@ class TestRestriction:
         res = restrict_cohomology(twist(catalog("O"), 1), 3, assume_generic=True)
         assert res.status is RestrictionStatus.GENERIC_ASSUMED
         assert res.table.dims() == {0: 7}
+
+    def test_generic_cancellation_between_in_range_terms(self):
+        # a d1 joins two terms that both land in degrees 0..dim, so the
+        # dimensions alone leave the map open
+        b = EquivariantBundle(n=5, k=2, weight=Weight(5, (0, -4, 0, 3)))
+        res = restrict_cohomology(b, 1)
+        assert res.status is RestrictionStatus.NEEDS_MAPS
+        assert res.page.as_dict() == {(0, 4): 5, (1, 4): 10}
+        res = restrict_cohomology(b, 1, assume_generic=True)
+        assert res.status is RestrictionStatus.GENERIC_ASSUMED
+        assert res.table.dims() == {3: 5}
 
     def test_generic_flag_leaves_exact_cases_alone(self):
         for name, j, expected in FORCED_TABLES:
@@ -148,6 +160,13 @@ class TestUlrichCheck:
         assert verdict.status is UlrichStatus.INDETERMINATE
         assert verdict.is_ulrich is None
         assert verdict.witness is None
+
+    def test_generic_flag_decides_verdict(self):
+        b = twist(catalog("U"), -2)
+        assert ulrich_check(b, 3).status is UlrichStatus.INDETERMINATE
+        verdict = ulrich_check(b, 3, assume_generic=True)
+        assert verdict.status is UlrichStatus.NOT_ULRICH
+        assert verdict.witness == (1, 3)
 
     def test_definite_failure_beats_indeterminacy(self):
         # O(2): the j=1 page needs maps, but j=2 fails outright, which decides

@@ -426,6 +426,9 @@ class TestJsonRoundTrip:
             ({"q": [3]}, "q"),
             ({"q": 4}, "4"),
             ({"C": MISSING}, "C"),
+            # a zero dimension still checks the shape of every map
+            ({"d": [2, 0]}, "map A must be 0x2"),
+            ({"d": [0, 2]}, "map A must be 2x0"),
         ],
     )
     def test_malformed_payload_names_key(self, change, key):
