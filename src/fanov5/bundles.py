@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .weights import Weight, dominantize, fundamental, rho, weyl_dim
+from .weights import Weight, dominantize, fundamental, weyl_dim
 
 CATALOG_NAMES = ("U", "Ustar", "Q", "Qstar", "O", "Sym2Ustar", "wedge2Qstar")
 
@@ -142,12 +142,13 @@ def cohomology(b: EquivariantBundle) -> CohomologyTable:
 
     Empty when weight+rho is singular; otherwise one entry in degree
     length(w), of dimension weyl_dim(w(weight+rho)) with highest weight
-    w(weight+rho) - rho.
+    w(weight+rho) - rho.  rho has every coefficient 1, so the shift in and
+    out is a +-1 on each coefficient.
     """
-    res = dominantize(b.weight + rho(b.n))
+    res = dominantize(Weight(b.n, tuple(c + 1 for c in b.weight.coeffs)))
     if res.singular:
         return CohomologyTable(())
     assert res.dominant is not None and res.length is not None
-    hw = res.dominant - rho(b.n)
+    hw = Weight(b.n, tuple(c - 1 for c in res.dominant.coeffs))
     entry = CohomologyEntry(dim=weyl_dim(res.dominant), highest_weight=hw)
     return CohomologyTable(((res.length, entry),))

@@ -14,6 +14,12 @@ Isolated two-term first differentials (adjacent p, equal q) are resolved
 by maximal-rank cancellation only when explicitly asked for (status
 ``GENERIC_ASSUMED``); any other pattern is honestly reported as
 ``NEEDS_MAPS``, since dimensions alone cannot decide it.
+
+A page is built from a twist ladder, the tables h^*(Gr, E(-p)) for
+p = 0..c, and resolved from the page alone.  The Ulrich check needs the
+pages of E(-j) for j = 1..d on a section of dimension d = dim Gr - c;
+they are windows of one ladder E(-1), ..., E(-dim Gr), so each twist's
+cohomology is computed once per check.
 """
 
 from __future__ import annotations
@@ -72,10 +78,16 @@ def _check_codim(b: EquivariantBundle, c: int, lowest: int) -> None:
 def koszul_page(b: EquivariantBundle, c: int) -> KoszulPage:
     """First page for restricting ``b`` across a codimension-c linear section."""
     _check_codim(b, c, 1)
+    return _page([cohomology(twist(b, -p)) for p in range(c + 1)])
+
+
+def _page(tables: list[CohomologyTable]) -> KoszulPage:
+    """Page of codimension c from the ladder h^*(Gr, E(-p)), p = 0..c."""
+    c = len(tables) - 1
     terms = []
-    for p in range(c + 1):
+    for p, table in enumerate(tables):
         mult = comb(c, p)
-        for q, entry in cohomology(twist(b, -p)).entries:
+        for q, entry in table.entries:
             terms.append(((p, q), mult * entry.dim))
     return KoszulPage(codim=c, terms=tuple(terms))
 
@@ -95,9 +107,12 @@ def restrict_cohomology(
     (EXACT) or when ``assume_generic`` resolves isolated two-term first
     differentials at maximal rank (GENERIC_ASSUMED).
     """
-    page = koszul_page(b, c)
+    return _resolve(koszul_page(b, c), b.dim_space - c, assume_generic)
+
+
+def _resolve(page: KoszulPage, dim_section: int, assume_generic: bool) -> RestrictionResult:
+    """Resolve ``page`` into a table on a section of dimension ``dim_section``."""
     terms = [[p, q, d] for (p, q), d in page.terms]
-    dim_section = b.dim_space - c
 
     pairs = [
         (i, j)
@@ -168,13 +183,15 @@ def ulrich_check(
     """
     _check_codim(b, c, 0)
     d = b.dim_space - c
+    # tables[t - 1] is h^*(Gr, E(-t)); the page of E(-j) needs t = j..j+c,
+    # and j + c <= d + c = dim Gr.
+    tables = [cohomology(twist(b, -t)) for t in range(1, b.dim_space + 1)]
     indeterminate = False
     for j in range(1, d + 1):
-        tw = twist(b, -j)
         if c == 0:
-            table = cohomology(tw)
+            table = tables[j - 1]
         else:
-            res = restrict_cohomology(tw, c, assume_generic=assume_generic)
+            res = _resolve(_page(tables[j - 1 : j + c]), d, assume_generic)
             if not res.resolved:
                 indeterminate = True
                 continue

@@ -253,6 +253,10 @@ def _image_basis(rep: QuiverRep, basis1: Matrix) -> Matrix:
     return row_space_basis(vectors, rep.field)
 
 
+# A stable representation is nonzero by definition (King 1994).
+_ZERO_REP_ERROR = "zero representation has no stability verdict: d = (0, 0)"
+
+
 def check_stability(rep: QuiverRep) -> StabilityVerdict:
     """King verdict for theta over a prime field, by exhaustive enumeration.
 
@@ -266,7 +270,9 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     is pruned once theta(k, e) <= the best theta so far, which is lossless
     too: every extension has an image of dimension >= e, and a candidate
     replaces the best only on a strictly larger theta.  A new best's W2 is
-    that echelon basis brought to RREF.
+    that echelon basis brought to RREF.  The zero representation is
+    rejected: it has no proper nonzero subrepresentation, but it is not
+    stable either.
     """
     field = rep.field
     if not isinstance(field, PrimeField):
@@ -275,6 +281,8 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
         raise ValueError(f"supported fields are F_q for q in {STABILITY_FIELDS}")
     if max(rep.d) > STABILITY_DIM_CAP:
         raise ValueError(f"dimensions capped at {STABILITY_DIM_CAP} for enumeration")
+    if rep.d == (0, 0):
+        raise ValueError(_ZERO_REP_ERROR)
 
     d1, d2 = rep.d
     p = field.p
@@ -324,6 +332,8 @@ def check_stability_pairs(rep: QuiverRep) -> StabilityVerdict:
     field = rep.field
     if not isinstance(field, PrimeField):
         raise ValueError("pair enumeration needs a finite prime field")
+    if rep.d == (0, 0):
+        raise ValueError(_ZERO_REP_ERROR)
     d1, d2 = rep.d
     theta_v = theta(rep.d)
     best: Optional[SubrepWitness] = None

@@ -4,6 +4,9 @@ Weights are written in the basis of fundamental weights w_1..w_{n-1}.
 Everything here reduces to bookkeeping on epsilon coordinates
 (z_1,...,z_n), where the simple reflection s_i swaps z_i and z_{i+1}.
 All arithmetic is plain Python integers, so nothing ever overflows.
+The Borel-Weil-Bott path (``dominantize``, ``weyl_dim``) works on a plain
+list of epsilon ints from ``_eps``: it sorts, counts inversions and
+multiplies differences there, and builds one ``Weight`` for the result.
 
 Conventions:
   * epsilon vectors are normalised so that the last entry is 0 (type-A
@@ -16,7 +19,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from operator import sub
 from typing import Iterator, Optional, Sequence
 
 
@@ -34,7 +37,7 @@ class Weight:
             raise ValueError(
                 f"need {self.n - 1} coefficients for SL({self.n}), got {len(self.coeffs)}"
             )
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
@@ -104,12 +107,18 @@ def rho(n: int) -> Weight:
     return Weight(n, (1,) * (n - 1))
 
 
+def _eps(coeffs: Sequence[int]) -> list[int]:
+    """Epsilon coordinates of fundamental coefficients: z_j - z_{j+1} = coeffs[j], z_n = 0."""
+    z = [0]
+    for c in reversed(coeffs):
+        z.append(z[-1] + c)
+    z.reverse()
+    return z
+
+
 def to_eps(w: Weight) -> EpsVector:
     """Epsilon coordinates: z_j - z_{j+1} = coeffs[j], z_n = 0."""
-    z = [0] * w.n
-    for j in range(w.n - 2, -1, -1):
-        z[j] = z[j + 1] + w.coeffs[j]
-    return EpsVector(tuple(z))
+    return EpsVector(tuple(_eps(w.coeffs)))
 
 
 def from_eps(e: EpsVector) -> Weight:
@@ -119,7 +128,7 @@ def from_eps(e: EpsVector) -> Weight:
 
 def inversions(entries: Sequence[int]) -> int:
     """Number of pairs i<j with entries[i] < entries[j] (0 for sorted-descending)."""
-    return sum(1 for i, j in combinations(range(len(entries)), 2) if entries[i] < entries[j])
+    return sum(x < y for i, x in enumerate(entries) for y in entries[i + 1 :])
 
 
 @dataclass(frozen=True)
@@ -147,15 +156,15 @@ def dominantize(w: Weight) -> DominantizationResult:
     """Sort the epsilon vector of ``w`` (expected to be lambda+rho) descending.
 
     Singular when two epsilon coordinates coincide.  Otherwise the length is
-    the inversion count of the epsilon vector and ``dominant`` is the sorted
-    vector converted back to fundamental coordinates.
+    the inversion count of the epsilon vector and ``dominant`` has the
+    adjacent differences of the sorted vector as its coefficients.
     """
-    z = to_eps(w).entries
+    z = _eps(w.coeffs)
     if len(set(z)) < len(z):
         return DominantizationResult(singular=True)
-    length = inversions(z)
-    sorted_eps = EpsVector.normalized(sorted(z, reverse=True))
-    return DominantizationResult(singular=False, length=length, dominant=from_eps(sorted_eps))
+    s = sorted(z, reverse=True)
+    dominant = Weight(w.n, tuple(map(sub, s, s[1:])))
+    return DominantizationResult(singular=False, length=inversions(z), dominant=dominant)
 
 
 def weyl_dim(shifted: Weight) -> int:
@@ -167,14 +176,13 @@ def weyl_dim(shifted: Weight) -> int:
     """
     if not shifted.is_strictly_dominant():
         raise ValueError(f"weyl_dim needs a strictly dominant mu+rho, got {shifted.coeffs}")
-    z = to_eps(shifted).entries
-    n = len(z)
+    z = _eps(shifted.coeffs)
     num = 1
     den = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            num *= z[i] - z[j]
-            den *= j - i
+    for i, x in enumerate(z):
+        for gap, y in enumerate(z[i + 1 :], start=1):
+            num *= x - y
+            den *= gap
     q, r = divmod(num, den)
     if r:
         raise ArithmeticError(f"Weyl product {num}/{den} is not an integer")

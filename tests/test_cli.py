@@ -265,6 +265,7 @@ class TestMalformedInput:
                 {"q": 3, "d": [2, 2], "A": 5, "B": [[0, 0]] * 2, "C": [[0, 0]] * 2},
             ),
             (("quiver", "moduli-dim", "--dim", "-3", "2"), None),
+            (("quiver", "stability", "--dim", "0", "0", "--field", "2"), None),
             (("ulrich", "--bundle", "Sym2Ustar", "--codim", "7"), None),
             # --format belongs to the leaf command, not to its group
             (("chow", "--format", "table", "todd"), None),

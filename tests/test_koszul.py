@@ -3,11 +3,12 @@ from math import comb
 
 import pytest
 
-from fanov5.bundles import EquivariantBundle, catalog, cohomology, twist
+from fanov5.bundles import CATALOG_NAMES, EquivariantBundle, catalog, cohomology, twist
 from fanov5.checklist import SECTION_TABLES
 from fanov5.koszul import (
     RestrictionStatus,
     UlrichStatus,
+    UlrichVerdict,
     koszul_page,
     restrict_cohomology,
     ulrich_check,
@@ -24,6 +25,30 @@ def ambient_euler(bundle, c: int) -> int:
         (-1) ** p * comb(c, p) * cohomology(twist(bundle, -p)).euler_characteristic()
         for p in range(c + 1)
     )
+
+
+def old_ulrich_check(b, c, assume_generic=False):
+    """``ulrich_check`` before it read its pages off one twist ladder, verbatim but
+    for its codimension check: the reference, one ``restrict_cohomology`` per twist."""
+    d = b.dim_space - c
+    indeterminate = False
+    for j in range(1, d + 1):
+        tw = twist(b, -j)
+        if c == 0:
+            table = cohomology(tw)
+        else:
+            res = restrict_cohomology(tw, c, assume_generic=assume_generic)
+            if not res.resolved:
+                indeterminate = True
+                continue
+            assert res.table is not None
+            table = res.table
+        if not table.is_zero():
+            i = min(deg for deg, _ in table.entries)
+            return UlrichVerdict(status=UlrichStatus.NOT_ULRICH, witness=(j, i))
+    if indeterminate:
+        return UlrichVerdict(status=UlrichStatus.INDETERMINATE)
+    return UlrichVerdict(status=UlrichStatus.ULRICH)
 
 
 class TestKoszulPage:
@@ -173,6 +198,23 @@ class TestUlrichCheck:
         verdict = ulrich_check(twist(catalog("O"), 2), 3)
         assert verdict.status is UlrichStatus.NOT_ULRICH
         assert verdict.witness == (2, 0)
+
+    def test_matches_per_twist_route(self):
+        # every codimension and flag, catalog twists -4..4 on Gr(k,n), n <= 5
+        checked = 0
+        for n in range(3, 6):
+            for k in range(1, n):
+                for name in CATALOG_NAMES:
+                    if name == "wedge2Qstar" and k + 2 > n:
+                        continue
+                    for j in range(-4, 5):
+                        b = twist(catalog(name, n, k), j)
+                        for c in range(b.dim_space + 1):
+                            for generic in (False, True):
+                                expected = old_ulrich_check(b, c, generic)
+                                assert ulrich_check(b, c, generic) == expected, (b.describe(), c)
+                                checked += 1
+        assert checked > 3000
 
     def test_heredity(self):
         # a bundle passing on the ambient space passes every section check

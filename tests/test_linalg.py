@@ -100,8 +100,11 @@ class TestRationalElimination:
     def test_rank_property(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-        shapes = st.tuples(st.integers(0, 6), st.integers(1, 6))
+        # Two thirds zeros, up to 8 x 8: Bareiss must rescale a row whose entry
+        # in the pivot column is already 0, and only sparse input shows it.
+        nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), nonzero)
+        shapes = st.tuples(st.integers(0, 8), st.integers(1, 8))
         matrices = shapes.flatmap(
             lambda s: st.lists(st.lists(entries, min_size=s[1], max_size=s[1]), min_size=s[0], max_size=s[0])
         )
@@ -121,6 +124,12 @@ class TestRationalElimination:
                 assert rank(rows + [combo], QQ) == rk
 
         check()
+
+    def test_zero_pivot_entry_row_is_rescaled(self):
+        # rows 0 and 1 are 0 in the first pivot's column; left unscaled, the
+        # next exact division by that pivot truncates and the rank reads 2
+        rows = [[0, 1, 1], [0, 1, 0], [2, 0, 0]]
+        assert rank(rows, QQ) == reference_rref(rows)[1] == 3
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")

@@ -248,6 +248,8 @@ class TestPrunedSearch:
     def test_verdicts_match_unpruned_reference(self):
         checked = 0
         for rep in stability_corpus():
+            if rep.d == (0, 0):
+                continue  # no verdict: test_zero_rep_rejected
             assert check_stability(rep) == reference_check_stability(rep), rep.to_json()
             checked += 1
         assert checked > 300
@@ -259,7 +261,8 @@ class TestPrunedSearch:
         @st.composite
         def reps(draw):
             field = PrimeField(draw(st.sampled_from((2, 3))))
-            d1, d2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+            d1 = draw(st.integers(0, 2))
+            d2 = draw(st.integers(0 if d1 else 1, 2))
             entry = st.integers(0, field.p - 1)
             mat = st.lists(st.lists(entry, min_size=d1, max_size=d1), min_size=d2, max_size=d2)
             return make_rep(field, (d1, d2), draw(mat), draw(mat), draw(mat))
@@ -378,6 +381,12 @@ class TestStability:
             rep = random_rep((2, 2), F2, seed)
             verdict = check_stability(rep)
             assert (verdict.witness is None) == (verdict.status is Stability.STABLE)
+
+    def test_zero_rep_rejected(self):
+        # a stable representation is nonzero; moduli_dim rejects (0, 0) too
+        for check in (check_stability, check_stability_pairs):
+            with pytest.raises(ValueError, match="zero representation"):
+                check(zero_rep(F2, (0, 0)))
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError):

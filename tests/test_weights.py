@@ -3,7 +3,9 @@ from itertools import combinations
 
 import pytest
 
+from fanov5.bundles import CATALOG_NAMES, catalog, twist
 from fanov5.weights import (
+    DominantizationResult,
     EpsVector,
     Weight,
     all_weights,
@@ -24,9 +26,76 @@ def eps_oracle(w: Weight) -> tuple[int, ...]:
 
 
 def inversions_oracle(entries) -> int:
+    # the index-pair ``inversions`` before it looped over values
     return sum(
         1 for i, j in combinations(range(len(entries)), 2) if entries[i] < entries[j]
     )
+
+
+# The Borel-Weil-Bott routines before they moved to plain epsilon ints,
+# verbatim but for their names and docstrings: the references for the current ones.
+def old_to_eps(w: Weight) -> EpsVector:
+    """Epsilon coordinates: z_j - z_{j+1} = coeffs[j], z_n = 0."""
+    z = [0] * w.n
+    for j in range(w.n - 2, -1, -1):
+        z[j] = z[j + 1] + w.coeffs[j]
+    return EpsVector(tuple(z))
+
+
+def old_dominantize(w: Weight) -> DominantizationResult:
+    z = old_to_eps(w).entries
+    if len(set(z)) < len(z):
+        return DominantizationResult(singular=True)
+    length = inversions_oracle(z)
+    sorted_eps = EpsVector.normalized(sorted(z, reverse=True))
+    return DominantizationResult(singular=False, length=length, dominant=from_eps(sorted_eps))
+
+
+def old_weyl_dim(shifted: Weight) -> int:
+    if not shifted.is_strictly_dominant():
+        raise ValueError(f"weyl_dim needs a strictly dominant mu+rho, got {shifted.coeffs}")
+    z = old_to_eps(shifted).entries
+    n = len(z)
+    num = 1
+    den = 1
+    for i in range(n):
+        for j in range(i + 1, n):
+            num *= z[i] - z[j]
+            den *= j - i
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"Weyl product {num}/{den} is not an integer")
+    return q
+
+
+def outcome(f, *args):
+    """The value of ``f(*args)``, or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def bwb_corpus():
+    """all_weights(5, 4), and weight + rho of every catalog twist -12..12 on Gr(k,n), n <= 7."""
+    yield from all_weights(5, 4)
+    for n in range(3, 8):
+        for k in range(1, n):
+            for name in CATALOG_NAMES:
+                if name == "wedge2Qstar" and k + 2 > n:
+                    continue
+                for j in range(-12, 13):
+                    b = twist(catalog(name, n, k), j)
+                    yield Weight(n, tuple(c + 1 for c in b.weight.coeffs))
+
+
+class TestAgainstOldRoutines:
+    def test_same_results_and_errors(self):
+        for w in bwb_corpus():
+            assert to_eps(w) == old_to_eps(w), w
+            assert inversions(to_eps(w).entries) == inversions_oracle(to_eps(w).entries), w
+            assert dominantize(w) == old_dominantize(w), w
+            assert outcome(weyl_dim, w) == outcome(old_weyl_dim, w), w
 
 
 class TestEpsCoordinates:
@@ -116,12 +185,34 @@ class TestWeylDim:
                 assert weyl_dim(Weight(3, (a + 1, b + 1))) == expected
 
     def test_invariant_under_dominantization(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            w = Weight(5, tuple(rng.randint(1, 6) for _ in range(4)))
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        weights = st.integers(2, 7).flatmap(
+            lambda n: st.lists(st.integers(-8, 8), min_size=n - 1, max_size=n - 1).map(
+                lambda c: Weight(n, tuple(c))
+            )
+        )
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(weights)
+        def check(w):
             res = dominantize(w)
-            assert not res.singular and res.length == 0
-            assert weyl_dim(res.dominant) == weyl_dim(w)
+            z = to_eps(w).entries
+            num = den = 1
+            for i, j in combinations(range(len(z)), 2):
+                num *= z[i] - z[j]
+                den *= j - i
+            if res.singular:
+                assert num == 0
+                return
+            # the Weyl product of w changes sign with each inversion and is
+            # otherwise that of its dominant image
+            assert num == (-1) ** res.length * weyl_dim(res.dominant) * den
+            if w.is_strictly_dominant():
+                assert (res.length, res.dominant) == (0, w)
+                assert weyl_dim(w) == weyl_dim(res.dominant)
+
+        check()
 
 
 class TestSimpleReflections:
