@@ -34,6 +34,19 @@ class Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+class _MisplacedFormat(argparse.Action):
+    """``--format`` given before the leaf command: say where it goes instead."""
+
+    def __init__(self, example: str, **kwargs):
+        super().__init__(default=argparse.SUPPRESS, help=argparse.SUPPRESS, **kwargs)
+        self.example = example
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise CliError(
+            f"--format goes after the leaf command, for example `{parser.prog} {self.example} --format table`"
+        )
+
+
 def _weight_json(w) -> list[int]:
     return list(w.coeffs)
 
@@ -112,6 +125,7 @@ def _add_bundle_flags(p: Parser) -> None:
 
 def build_parser() -> Parser:
     parser = Parser(prog="fanov5")
+    parser.add_argument("--format", action=_MisplacedFormat, example="bwb --bundle O")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fmt_parent = Parser(add_help=False)
@@ -134,6 +148,7 @@ def build_parser() -> Parser:
     p_ulrich.add_argument("--assume-generic", action="store_true")
 
     p_chow = sub.add_parser("chow", help="intersection theory on the threefold")
+    p_chow.add_argument("--format", action=_MisplacedFormat, example="todd")
     chow_sub = p_chow.add_subparsers(dest="chow_command", required=True)
     pc = chow_sub.add_parser("chi", parents=[fmt_parent])
     pc.add_argument("--bundle", required=True, choices=tuple(chow.CATALOG_CLASSES))
@@ -149,6 +164,7 @@ def build_parser() -> Parser:
     chow_sub.add_parser("todd", parents=[fmt_parent])
 
     p_quiver = sub.add_parser("quiver", help="Kronecker quiver computations")
+    p_quiver.add_argument("--format", action=_MisplacedFormat, example="theta --dim 2 1")
     q_sub = p_quiver.add_subparsers(dest="quiver_command", required=True)
     pq = q_sub.add_parser("euler-form", parents=[fmt_parent])
     pq.add_argument("--dim", type=int, nargs=2, required=True)

@@ -1,14 +1,17 @@
 """Small exact linear algebra over prime fields and the rationals.
 
 Matrices are tuples of row tuples.  Entries are ints reduced mod p for a
-prime field, or fractions.Fraction over the rationals.  Over F_p one kernel,
-``echelon_extend``, folds rows on plain ints into a semi-echelon basis with
-monic pivots; rank is its length, and ``reduce_echelon`` sorts it by pivot
-and clears above the pivots, which gives rref.  Over Q the toolkit needs
-only rank (``hom_ext``): each row is scaled to integers and eliminated
-fraction-free over Z (Bareiss, Math. Comp. 22, 1968), below the pivots
-only, so no Fraction is built.  ``rref`` and subspace enumeration serve
-prime fields only and raise TypeError over Q.
+prime field, or fractions.Fraction over the rationals.  ``echelon`` gives
+the echelon rows of a matrix as (pivot, row) pairs on ints over both
+fields, and ``rank`` is their number.  Over F_p one kernel,
+``echelon_extend``, folds rows into a semi-echelon basis with monic
+pivots, and ``reduce_echelon`` sorts it by pivot and clears above the
+pivots, which gives rref.  Over Q each row is scaled to integers and
+eliminated fraction-free over Z (Bareiss, Math. Comp. 22, 1968), below the
+pivots only, so no Fraction is built; the pivot rows are the echelon.
+``hom_ext`` reads a left kernel off the echelon of [K | I] and then takes
+one rank, which is all it needs over Q.  ``rref`` and subspace enumeration
+serve prime fields only and raise TypeError over Q.
 """
 
 from __future__ import annotations
@@ -89,20 +92,31 @@ def mat_vec(m: Matrix, v: Sequence[Entry], field: Field) -> tuple[Entry, ...]:
     return tuple(field.normalize(sum(a * b for a, b in zip(row, v))) for row in m)
 
 
-def _fraction_free(rows: Sequence[Sequence[Entry]]) -> int:
-    """Rank over Q by Bareiss elimination over Z, each row scaled by its denominators' lcm.
+# Echelon rows: (pivot column, row) pairs on ints, each row zero left of its
+# pivot and at every earlier row's pivot.  Over F_p the rows are monic at
+# their pivot (a semi-echelon basis); over Q they are Bareiss rows.
+Echelon = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _fraction_free(rows: Sequence[Sequence[Entry]]) -> Echelon:
+    """Echelon rows over Q by Bareiss elimination over Z, each row scaled by its denominators' lcm.
 
     A pivot p turns every row below it into (p*row - f*pivot_row) // prev,
-    an exact division by the previous pivot.  ``rows`` is nonempty.
+    an exact division by the previous pivot; the pivot rows, on ints, are
+    the result.  ``rows`` is nonempty.
     """
     m = []
     for row in rows:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (scale // x.denominator) for x in row])
+        if any(type(x) is not int for x in row):
+            row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            scale = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (scale // x.denominator) for x in row]
+        m.append(list(row))
     nrows = len(m)
-    rank, prev = 0, 1
+    pivots: list[int] = []
+    prev = 1
     for col in range(len(m[0])):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, nrows) if m[r][col]), None)
         if pivot is None:
             continue
@@ -113,16 +127,14 @@ def _fraction_free(rows: Sequence[Sequence[Entry]]) -> int:
         for row in m[rank + 1:]:
             f = row[col]
             row[col:] = [(p * x - f * y) // prev for x, y in zip(row[col:], top[col:])]
-        rank += 1
+        pivots.append(col)
         prev = p
-        if rank == nrows:
+        if rank + 1 == nrows:
             break
-    return rank
-
-
-# A semi-echelon basis over F_p: (pivot column, row) pairs whose rows are
-# monic at their pivot, zero left of it, and zero at every earlier pivot.
-Echelon = tuple[tuple[int, tuple[int, ...]], ...]
+    # A tuple of a list, not of the zip: a tuple built from an iterator of
+    # unknown length is resized, which bypasses CPython's per-size free lists
+    # of tuples, so they would fill with the freed results (~1 MB in a long run).
+    return tuple([(c, tuple(row)) for c, row in zip(pivots, m)])
 
 
 def echelon_extend(basis: Echelon, vectors: Sequence[Sequence[int]], p: int) -> Echelon:
@@ -179,12 +191,17 @@ def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
     return m + (zero,) * (len(rows) - len(m)), len(m)
 
 
-def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
+def echelon(rows: Sequence[Sequence[Entry]], field: Field) -> Echelon:
+    """Echelon rows spanning the row space of ``rows``: monic over F_p, Bareiss over Q."""
     if not rows or not rows[0]:
-        return 0
+        return ()
     if isinstance(field, RationalField):
         return _fraction_free(rows)
-    return len(_echelon_fp(rows, field.p))
+    return _echelon_fp(rows, field.p)
+
+
+def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
+    return len(echelon(rows, field))
 
 
 def row_space_basis(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:

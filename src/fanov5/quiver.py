@@ -9,6 +9,13 @@ and the stability character used throughout is the Euler pairing against
 the fixed dimension vector (5, 10), which works out to
 theta(d) = 5*(d1 - d2).
 
+``hom_ext`` ranks the canonical map by block elimination over either
+field: one echelon of the source maps beside an identity gives the left
+kernel N of their stacked transposes, and one rank of the target maps
+seen through N finishes it, on a third of the full matrix's rows.  Over
+Q the entries of that last matrix carry minors of the source maps, so
+the route pays off at the small sizes the toolkit uses (see ``hom_ext``).
+
 Stability checks over a prime field are exhaustive: for every subspace W1
 of the source, the theta-maximizing subrepresentation through W1 takes
 W2 = A(W1) + B(W1) + C(W1), so enumerating pairs (W1, minimal W2) (plus
@@ -25,6 +32,7 @@ import enum
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from random import Random
 from typing import Optional, Union
@@ -35,6 +43,7 @@ from .linalg import (
     Matrix,
     PrimeField,
     QQ,
+    echelon,
     echelon_extend,
     field_for,
     mat_vec,
@@ -189,11 +198,26 @@ def hom_ext(a: QuiverRep, b: QuiverRep) -> tuple[int, int]:
 
     Hom and Ext^1 are kernel and cokernel of
 
-        Hom(A1,B1) + Hom(A2,B2) -> sum over arrows of Hom(A1,B2),
-        (f1, f2) |-> f2 . arrow_a - arrow_b . f1,
+        Phi: Hom(A1,B1) + Hom(A2,B2) -> sum over arrows of Hom(A1,B2),
+        (f1, f2) |-> (f2 . a_t - b_t . f1)_t,
 
-    so both drop out of one rank computation; the difference is the Euler
-    form of the dimension vectors.
+    so both drop out of rank Phi; the difference is the Euler form of the
+    dimension vectors.  Phi is ranked by block elimination.  The equations
+    of target row r meet f2 only through row r of f2, always with the
+    coefficients K = [a_1^T; a_2^T; a_3^T] (3*a1 x a2).  So rank Phi is
+    b2 * rank K plus the rank of what the left kernel N of K leaves of the
+    f1 part: the (b1*a1) x (b2*|N|) matrix
+
+        M[(s, c), (r, j)] = sum over t of N_j[t*a1 + c] * b_t[r][s].
+
+    N is the identity part of the echelon rows of [K | I] whose pivot lies
+    in the identity block.  At (4,4) that is a 12 x 16 echelon and a
+    16 x 32 rank, where Phi itself is 48 x 32.  Over Q both
+    representations' maps are scaled to ints first (a scalar per
+    representation changes no rank), so both eliminations run on plain
+    ints.  The price over Q is integer size: N's entries are minors of K,
+    so M's entries are bigger than Phi's, and past (6,6) a direct
+    elimination of Phi would be the faster one.
     """
     if a.field != b.field:
         raise ValueError("hom_ext needs both representations over the same field")
@@ -205,22 +229,30 @@ def hom_ext(a: QuiverRep, b: QuiverRep) -> tuple[int, int]:
     if dom == 0 or cod == 0:
         # The canonical map has rank 0, so kernel and cokernel are everything.
         return (dom, cod)
-    rows = []
-    for t in range(ARROWS):
-        fa = a.maps[t]
-        gb = b.maps[t]
-        for r in range(b2):
-            for c in range(a1):
-                row = [0] * dom
-                # phi2[r, s] * fa[s, c] over s in range(a2)
-                for s in range(a2):
-                    row[b1 * a1 + r * a2 + s] = fa[s][c]
-                # -gb[r, s] * phi1[s, c] over s in range(b1)
-                for s in range(b1):
-                    row[s * a1 + c] = field.normalize(-gb[r][s])
-                rows.append(row)
-    rk = rank(rows, field)
+    amaps, bmaps = a.maps, b.maps
+    if field == QQ:
+        amaps, bmaps = _integral(amaps), _integral(bmaps)
+    # K = [a_1^T; a_2^T; a_3^T]: row t*a1 + c is column c of a_t.
+    K = [[row[c] for row in m] for m in amaps for c in range(a1)]
+    n = len(K)
+    with_identity = [k + [int(i == j) for j in range(n)] for i, k in enumerate(K)]
+    kernel = [row[a2:] for col, row in echelon(with_identity, field) if col >= a2]
+    # N_j's entries at source column c, and b's entries at (r, s), one per arrow.
+    kernel_at = [[v[c::a1] for v in kernel] for c in range(a1)]
+    b_at = [[[m[r][s] for m in bmaps] for r in range(b2)] for s in range(b1)]
+    rows = [
+        [sum(map(mul, u, w)) for w in b_at[s] for u in kernel_at[c]]
+        for s in range(b1)
+        for c in range(a1)
+    ]
+    rk = b2 * (n - len(kernel)) + rank(rows, field)
     return (dom - rk, cod - rk)
+
+
+def _integral(maps: tuple[Matrix, ...]) -> list[list[list[int]]]:
+    """Rational maps times the lcm of all their denominators: one scalar, the same ranks."""
+    scale = lcm(*(x.denominator for m in maps for row in m for x in row))
+    return [[[x.numerator * (scale // x.denominator) for x in row] for row in m] for m in maps]
 
 
 class Stability(enum.Enum):

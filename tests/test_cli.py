@@ -288,6 +288,21 @@ class TestMalformedInput:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, example",
+        [
+            (("chow", "--format", "table", "todd"), "fanov5 chow todd --format table"),
+            (("quiver", "--format", "table", "theta", "--dim", "2", "1"), "fanov5 quiver theta --dim 2 1 --format table"),
+            (("--format", "table", "bwb", "--bundle", "O"), "fanov5 bwb --bundle O --format table"),
+        ],
+    )
+    def test_group_format_says_where_it_goes(self, argv, example):
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanov5.cli", *argv], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: --format goes after the leaf command, for example `{example}`\n"
+
     def test_zero_dimension_keeps_shape_check(self, tmp_path):
         payload = {"q": 3, "d": [2, 0], "A": [[1, 2]], "B": [[5, 5], [1, 1]], "C": [[7]]}
         path = tmp_path / "rep.json"

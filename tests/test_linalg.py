@@ -8,6 +8,7 @@ from fanov5 import quiver
 from fanov5.linalg import (
     QQ,
     PrimeField,
+    echelon,
     echelon_extend,
     field_for,
     rank,
@@ -88,14 +89,37 @@ class TestRationalElimination:
             assert got == reference_rref(rows)[1]
             return got
 
+        def checked_echelon(rows, field):
+            got = echelon(rows, field)
+            calls.append(len(got))
+            assert len(got) == reference_rref(rows)[1]
+            # every echelon row is a Q-combination of ``rows``: appending it keeps the rank
+            for _, row in got:
+                assert reference_rref(list(rows) + [row])[1] == len(got)
+            return got
+
         monkeypatch.setattr(quiver, "rank", checked_rank)
+        monkeypatch.setattr(quiver, "echelon", checked_echelon)
         for seed in range(3):
             a = random_rep((3, 3), QQ, seed)
             b = random_rep((3, 2), QQ, seed + 100)
             assert hom_ext(a, a) == (1, 10)
             h, e = hom_ext(a, b)
             assert h - e == quiver.euler_form(a.d, b.d)
-        assert len(calls) == 6
+        assert len(calls) == 12  # one echelon of [K | I] and one rank of M per call
+
+    def test_echelon_rows_span_the_rows(self):
+        # Bareiss rows on ints, each zero left of its pivot (so at every earlier
+        # pivot too); appending them to the rows keeps the rank, so they span it
+        for rows in corpus(seed=5, size=200):
+            got = echelon(rows, QQ)
+            rk = reference_rref(rows)[1]
+            assert len(got) == rk == rank(rows, QQ), rows
+            pivots = [c for c, _ in got]
+            assert pivots == sorted(set(pivots)), rows
+            for c, row in got:
+                assert all(type(x) is int for x in row) and row[c] and not any(row[:c]), rows
+            assert reference_rref(list(rows) + [row for _, row in got])[1] == rk, rows
 
     def test_rank_property(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -222,6 +246,7 @@ class TestPrimeElimination:
             for i, (c, row) in enumerate(basis):
                 assert row[c] == 1 and not any(row[:c]), rows
                 assert all(row[earlier] == 0 for earlier in pivots[:i]), rows
+            assert echelon(rows, PrimeField(p)) == basis
 
 
 class TestPrimeField:

@@ -1,12 +1,14 @@
 import gc
 import random
+from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
 import pytest
 
-from fanov5.linalg import QQ, PrimeField, count_subspaces, row_space_basis, subspaces
+from fanov5.linalg import QQ, PrimeField, count_subspaces, rank, row_space_basis, subspaces
 from fanov5.quiver import (
+    ARROWS,
     Stability,
     StabilityVerdict,
     SubrepWitness,
@@ -100,7 +102,115 @@ class TestModuliDim:
             QuiverRep(field=F2, d=d, A=(), B=(), C=())
 
 
+def reference_hom_ext(a, b):
+    """The direct-matrix hom_ext that block elimination replaced, verbatim but for its name."""
+    if a.field != b.field:
+        raise ValueError("hom_ext needs both representations over the same field")
+    field = a.field
+    a1, a2 = a.d
+    b1, b2 = b.d
+    dom = a1 * b1 + a2 * b2
+    cod = ARROWS * a1 * b2
+    if dom == 0 or cod == 0:
+        # The canonical map has rank 0, so kernel and cokernel are everything.
+        return (dom, cod)
+    rows = []
+    for t in range(ARROWS):
+        fa = a.maps[t]
+        gb = b.maps[t]
+        for r in range(b2):
+            for c in range(a1):
+                row = [0] * dom
+                # phi2[r, s] * fa[s, c] over s in range(a2)
+                for s in range(a2):
+                    row[b1 * a1 + r * a2 + s] = fa[s][c]
+                # -gb[r, s] * phi1[s, c] over s in range(b1)
+                for s in range(b1):
+                    row[s * a1 + c] = field.normalize(-gb[r][s])
+                rows.append(row)
+    rk = rank(rows, field)
+    return (dom - rk, cod - rk)
+
+
+def hom_ext_corpus():
+    """Seeded representations by field and dimension vector, every d <= (4,4).
+
+    Over each of F2/F3/F5/Q (Q with p/q entries): the zero representation,
+    a random one, one whose maps all have rank <= 1, and a direct sum.
+    """
+    rng = random.Random(9090)
+    for field in (F2, F3, F5, QQ):
+        if field == QQ:
+            draw = lambda: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))  # noqa: E731
+        else:
+            draw = lambda p=field.p: rng.randrange(p)  # noqa: E731
+
+        def rank_one(d1, d2):
+            u, v = [draw() for _ in range(d2)], [draw() for _ in range(d1)]
+            return [[x * y for y in v] for x in u]
+
+        reps = {}
+        for d1, d2 in product(range(5), repeat=2):
+            random_maps = [[[draw() for _ in range(d1)] for _ in range(d2)] for _ in range(3)]
+            reps[d1, d2] = [
+                zero_rep(field, (d1, d2)),
+                make_rep(field, (d1, d2), *random_maps),
+                make_rep(field, (d1, d2), *(rank_one(d1, d2) for _ in range(3))),
+            ]
+            if d1 + d2 > 1:
+                x1, x2 = rng.randint(0, d1), rng.randint(0, d2)
+                x = random_rep((x1, x2), field, rng.randrange(10**6))
+                y = random_rep((d1 - x1, d2 - x2), field, rng.randrange(10**6))
+                reps[d1, d2].append(direct_sum(x, y))
+        yield field, reps
+
+
 class TestHomExt:
+    def test_matches_direct_matrix_reference(self):
+        checked = 0
+        for field, reps in hom_ext_corpus():
+            rng = random.Random(field.p if field != QQ else 0)
+            for a in (x for group in reps.values() for x in group):
+                assert hom_ext(a, a) == reference_hom_ext(a, a), a.to_json()
+                checked += 1
+            for d, e in product(reps, repeat=2):
+                a, b = rng.choice(reps[d]), rng.choice(reps[e])
+                assert hom_ext(a, b) == reference_hom_ext(a, b), (a.to_json(), b.to_json())
+                assert hom_ext(b, a) == reference_hom_ext(b, a), (b.to_json(), a.to_json())
+                checked += 2
+        assert checked > 5000
+
+    def test_matches_direct_matrix_reference_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def pairs(draw):
+            q = draw(st.sampled_from((2, 3, 5, None)))
+            field = QQ if q is None else PrimeField(q)
+            if q is None:
+                entry = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+            else:
+                entry = st.integers(0, q - 1)
+            # one in three entries 0, so zero and low-rank maps come up
+            entry = st.one_of(st.just(0), entry, entry)
+
+            def rep(d):
+                mat = st.lists(st.lists(entry, min_size=d[0], max_size=d[0]), min_size=d[1], max_size=d[1])
+                return make_rep(field, d, draw(mat), draw(mat), draw(mat))
+
+            dim = st.tuples(st.integers(0, 4), st.integers(0, 4))
+            return rep(draw(dim)), rep(draw(dim))
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(pairs())
+        def check(pair):
+            a, b = pair
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert hom_ext(x, y) == reference_hom_ext(x, y)
+
+        check()
+
     def test_simples(self):
         s1 = make_rep(F2, (1, 0), [], [], [])
         s2 = make_rep(F2, (0, 1), [[]], [[]], [[]])
@@ -110,21 +220,31 @@ class TestHomExt:
         assert hom_ext(s2, s2) == (1, 0)
 
     def test_identity_endomorphism(self):
-        rng = random.Random(4)
-        for _ in range(40):
-            d = (rng.randint(1, 3), rng.randint(1, 3))
-            x = random_rep(d, F3, rng.randint(0, 10 ** 6))
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.sampled_from((F2, F3, F5, QQ)), st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6))
+        def check(field, d1, d2, seed):
+            x = random_rep((d1, d2), field, seed)
             assert hom_ext(x, x)[0] >= 1
 
+        check()
+
     def test_difference_is_euler_form(self):
-        rng = random.Random(909)
-        fields = (F2, F3, F5, QQ)
-        for _ in range(200):
-            field = rng.choice(fields)
-            a = random_rep((rng.randint(0, 3), rng.randint(0, 3)), field, rng.randint(0, 10 ** 9))
-            b = random_rep((rng.randint(0, 3), rng.randint(0, 3)), field, rng.randint(0, 10 ** 9))
-            h, e = hom_ext(a, b)
-            assert h - e == euler_form(a.d, b.d), (a.d, b.d)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        dims = st.tuples(st.integers(0, 4), st.integers(0, 4))
+        seeds = st.integers(0, 10**9)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.sampled_from((F2, F3, F5, QQ)), dims, dims, seeds, seeds)
+        def check(field, d, e, seed_a, seed_b):
+            h, e1 = hom_ext(random_rep(d, field, seed_a), random_rep(e, field, seed_b))
+            assert h - e1 == euler_form(d, e)
+            assert h >= 0 and e1 >= 0
+
+        check()
 
     def test_field_mismatch(self):
         a = random_rep((1, 1), F2, 0)
@@ -381,6 +501,40 @@ class TestStability:
             rep = random_rep((2, 2), F2, seed)
             verdict = check_stability(rep)
             assert (verdict.witness is None) == (verdict.status is Stability.STABLE)
+
+    # Stable by both searches, yet End(V) = F_4, F_9 and F_8: stable but not absolutely stable.
+    NOT_ABSOLUTELY_STABLE = [
+        ('{"q":2,"d":[2,2],"A":[[0,1],[1,1]],"B":[[1,1],[1,0]],"C":[[1,0],[0,1]]}', (2, 6)),
+        ('{"q":3,"d":[2,2],"A":[[1,1],[0,1]],"B":[[1,2],[1,1]],"C":[[0,2],[2,0]]}', (2, 6)),
+        (
+            '{"q":2,"d":[3,3],"A":[[0,1,1],[1,1,0],[0,1,0]],'
+            '"B":[[1,1,1],[0,1,1],[1,0,1]],"C":[[1,1,0],[1,0,0],[0,0,1]]}',
+            (3, 12),
+        ),
+    ]
+
+    @pytest.mark.parametrize("payload, expected", NOT_ABSOLUTELY_STABLE)
+    def test_stable_need_not_be_absolutely_stable(self, payload, expected):
+        rep = QuiverRep.from_json(payload)
+        assert check_stability(rep).status is check_stability_pairs(rep).status is Stability.STABLE
+        assert hom_ext(rep, rep) == expected
+
+    def test_stable_endomorphisms_form_a_field(self):
+        # End(V) of a stable V is a division algebra (Schur), over F_p a field
+        # F_{p^k} (Wedderburn).  So hom(V, V) = k, and V1, V2 are F_{p^k}-spaces:
+        # k divides d1 and d2.  King stability asks theta(d) = 0, so d = (r, r).
+        rng = random.Random(31)
+        stable = 0
+        for field in (F2, F3, F5):
+            for r, count in ((1, 20), (2, 40), (3, 40), (4, 6)):
+                for _ in range(count):
+                    rep = random_rep((r, r), field, rng.randrange(10**6))
+                    if check_stability(rep).status is not Stability.STABLE:
+                        continue
+                    k = hom_ext(rep, rep)[0]
+                    assert k >= 1 and r % k == 0, rep.to_json()
+                    stable += 1
+        assert stable > 200
 
     def test_zero_rep_rejected(self):
         # a stable representation is nonzero; moduli_dim rejects (0, 0) too
