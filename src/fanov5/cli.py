@@ -292,7 +292,9 @@ def _run_quiver(args) -> int:
         else:
             if args.dim is None or args.field is None:
                 raise CliError("stability needs --matrices or --dim with --field")
-            rep = quiver.random_rep(tuple(args.dim), PrimeField(args.field), args.seed)
+            field = PrimeField(args.field)
+            d = quiver.check_stability_input(field, args.dim)
+            rep = quiver.random_rep(d, field, args.seed)
         verdict = quiver.check_stability(rep)
         emit(
             {

@@ -5,10 +5,11 @@ prime field, or fractions.Fraction over the rationals.  ``echelon`` gives
 the echelon rows of a matrix as (pivot, row) pairs on ints over both
 fields, and ``rank`` is their number.  Over F_p one kernel,
 ``echelon_extend``, folds rows into a semi-echelon basis with monic
-pivots, and ``reduce_echelon`` sorts it by pivot and clears above the
-pivots, which gives rref.  Over Q each row is scaled to integers and
-eliminated fraction-free over Z (Bareiss, Math. Comp. 22, 1968), below the
-pivots only, so no Fraction is built; the pivot rows are the echelon.
+pivots until it spans the whole space, and ``reduce_echelon`` sorts it by
+pivot and clears above the pivots, which gives rref.  Over Q each row is
+scaled to integers and eliminated fraction-free over Z (Bareiss, Math.
+Comp. 22, 1968), below the pivots only, so no Fraction is built; the pivot
+rows are the echelon.
 ``hom_ext`` reads a left kernel off the echelon of [K | I] and then takes
 one rank, which is all it needs over Q.  ``rref`` and subspace enumeration
 serve prime fields only and raise TypeError over Q.
@@ -144,17 +145,22 @@ def echelon_extend(basis: Echelon, vectors: Sequence[Sequence[int]], p: int) -> 
     at every earlier pivot, so a cleared entry stays cleared); a nonzero
     remainder joins as a new row, scaled to a leading 1.  The span of the
     result is the span of ``basis`` and ``vectors``, and its length the rank.
+    Once the basis spans all of F_p^n, every later vector would reduce to
+    zero, so folding stops there.
     """
     out = list(basis)
     for v in vectors:
+        if len(out) == len(v):
+            break
         for c, row in out:
             f = v[c]
             if f:
                 v = [(x - f * y) % p for x, y in zip(v, row)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
-            inv = pow(v[lead], p - 2, p)
-            out.append((lead, tuple(x * inv % p for x in v)))
+        for lead, x in enumerate(v):
+            if x:
+                inv = pow(x, p - 2, p)
+                out.append((lead, tuple([y * inv % p for y in v])))
+                break
     return tuple(out)
 
 

@@ -24,6 +24,14 @@ witness or certifies stability.  ``check_stability`` walks the source
 subspaces row by row and prunes those that cannot beat the best theta
 found so far; ``check_stability_pairs`` is the unpruned oracle over raw
 pairs (W1, W2).
+
+The prune asks the line of the newest row first, since the image of any
+line of W1 bounds the image of W1 from below.  A line v has a 3-dim image
+exactly when no member aA + bB + cC of the net spanned by the arrows
+kills it (rank-nullity for (a, b, c) |-> (aA + bB + cC)v), so one kernel
+per point of P^2(F_p), computed where the source has more lines than
+the net has members, certifies most lines with no elimination of their
+own.  Elimination over F_p stops once a basis spans the whole space.
 """
 
 from __future__ import annotations
@@ -289,6 +297,92 @@ def _image_basis(rep: QuiverRep, basis1: Matrix) -> Matrix:
 _ZERO_REP_ERROR = "zero representation has no stability verdict: d = (0, 0)"
 
 
+def check_stability_input(field: Field, d) -> DimVector:
+    """``d`` as a dimension vector that ``check_stability`` accepts over ``field``.
+
+    ValueError for a field other than F_q, q in ``STABILITY_FIELDS``, for a
+    dimension above ``STABILITY_DIM_CAP`` and for d = (0, 0).  Callers that
+    draw a representation ask first, so an oversized request fails before
+    any matrix is built.
+    """
+    d = dim_vector(d)
+    if not isinstance(field, PrimeField):
+        raise ValueError("exhaustive stability needs a finite prime field")
+    if field.p not in STABILITY_FIELDS:
+        raise ValueError(f"supported fields are F_q for q in {STABILITY_FIELDS}")
+    if max(d) > STABILITY_DIM_CAP:
+        raise ValueError(f"dimensions capped at {STABILITY_DIM_CAP} for enumeration")
+    if d == (0, 0):
+        raise ValueError(_ZERO_REP_ERROR)
+    return d
+
+
+def _lines(p: int, n: int) -> int:
+    """Number of lines through 0 in F_p^n."""
+    return (p ** n - 1) // (p - 1)
+
+
+# Kernels of the net's members: the one-dimensional ones as monic vectors,
+# the bigger ones as their member's echelon rows.
+_NetKernels = tuple[set[tuple[int, ...]], list[Echelon]]
+
+
+def _net_kernels(rep: QuiverRep) -> _NetKernels:
+    """Kernels of the members aA + bB + cC of the net, one per point [a:b:c] of P^2(F_p).
+
+    A kernel that is a line is returned as its monic vector (leading entry
+    1, the form the subspace walk builds), in the set; a bigger kernel as
+    the member's echelon rows, since a vector lies in it iff every row
+    vanishes on it.  The lines of a kernel are never listed one by one.
+    """
+    p = rep.field.p
+    d1 = rep.d[0]
+    # Row r of the three maps as (A[r][j], B[r][j], C[r][j]) triples.
+    triples = [list(zip(*rows)) for rows in zip(*rep.maps)]
+    points = [(1, b, c) for b in range(p) for c in range(p)] + [(0, 1, c) for c in range(p)] + [(0, 0, 1)]
+    lines: set[tuple[int, ...]] = set()
+    wide: list[Echelon] = []
+    for a, b, c in points:
+        member = [[(a * x + b * y + c * z) % p for x, y, z in row] for row in triples]
+        basis = echelon_extend((), member, p)
+        nullity = d1 - len(basis)
+        if nullity == 1:
+            lines.add(_kernel_line(basis, d1, p))
+        elif nullity > 1:
+            wide.append(basis)
+    return lines, wide
+
+
+def _kernel_line(basis: Echelon, n: int, p: int) -> tuple[int, ...]:
+    """The monic vector spanning the kernel of a rank n - 1 echelon ``basis``.
+
+    The one column without a pivot (what the pivots' sum lacks of
+    0 + 1 + ... + (n - 1)) gets 1; back substitution, last row first, fills
+    each pivot: a row is zero at every earlier row's pivot and 1 at its own,
+    so it fixes its pivot's entry from the entries set after it.
+    """
+    x = [0] * n
+    x[n * (n - 1) // 2 - sum(c for c, _ in basis)] = 1
+    for c, row in reversed(basis):
+        x[c] = -sum(map(mul, row, x)) % p
+    inv = pow(next(y for y in x if y), p - 2, p)
+    return tuple([y * inv % p for y in x])
+
+
+def _in_net_kernel(net: _NetKernels, v: tuple[int, ...], p: int) -> bool:
+    """Whether the monic ``v`` lies in the kernel of some member of the net."""
+    lines, wide = net
+    if v in lines:
+        return True
+    for basis in wide:
+        for _, row in basis:
+            if sum(map(mul, row, v)) % p:
+                break
+        else:
+            return True
+    return False
+
+
 def check_stability(rep: QuiverRep) -> StabilityVerdict:
     """King verdict for theta over a prime field, by exhaustive enumeration.
 
@@ -305,36 +399,73 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     that echelon basis brought to RREF.  The zero representation is
     rejected: it has no proper nonzero subrepresentation, but it is not
     stable either.
-    """
-    field = rep.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("exhaustive stability needs a finite prime field")
-    if field.p not in STABILITY_FIELDS:
-        raise ValueError(f"supported fields are F_q for q in {STABILITY_FIELDS}")
-    if max(rep.d) > STABILITY_DIM_CAP:
-        raise ValueError(f"dimensions capped at {STABILITY_DIM_CAP} for enumeration")
-    if rep.d == (0, 0):
-        raise ValueError(_ZERO_REP_ERROR)
 
-    d1, d2 = rep.d
-    p = field.p
+    Before the image basis of a partial basis is built, the line of its last
+    row is tried: its image span(Av, Bv, Cv) lies in the image of W1, so
+    theta(k, dim span(Av, Bv, Cv)) <= the best prunes as the full rule
+    would, with no elimination.  That dimension is 3 minus the dimension of
+    {(a, b, c) : (aA + bB + cC)v = 0} (rank-nullity for (a, b, c) |->
+    (aA + bB + cC)v), so a line in the kernel of no member of the net has a
+    3-dim image.  The net's p^2 + p + 1 kernels are computed up front only
+    where that is fewer eliminations than folding the image of every source
+    line, (p^d1 - 1)/(p - 1) of them, and where a line can have a 3-dim
+    image at all (d2 >= 3); any other line's image is folded directly, once
+    per call, and a partial basis ending in that line is extended by the
+    folded basis rather than by the three raw images.  Every fold stops
+    once the image spans all of F_p^d2 (``echelon_extend``).
+    """
+    d1, d2 = check_stability_input(rep.field, rep.d)
+    p = rep.field.p
+    net = _net_kernels(rep) if ARROWS <= d2 and _lines(p, ARROWS) < _lines(p, d1) else None
     images: dict[Matrix, Echelon] = {(): ()}
     mapped: dict[tuple[int, ...], list[list[int]]] = {}
+    line_dims: dict[tuple[int, ...], int] = {}
+    # theta(k, e) by table, since the prune rule asks it for every prefix;
+    # a line's image has dimension at most ``top``.
+    thetas = [[theta((k, e)) for e in range(d2 + 1)] for k in range(d1 + 1)]
+    top = min(ARROWS, d2)
 
     best: Optional[SubrepWitness] = None
 
+    # x times column j of the three maps stacked, for every x in F_p: the
+    # images of v are then one short sum per target entry.
+    stacked = [row for m in rep.maps for row in m]
+    scaled = [[[x * row[j] for row in stacked] for x in range(p)] for j in range(d1)]
+
+    def image_vectors(v: tuple[int, ...]) -> list[list[int]]:
+        if v not in mapped:
+            flat = [sum(t) % p for t in zip(*[s[x] for s, x in zip(scaled, v) if x])]
+            mapped[v] = [flat[t * d2:(t + 1) * d2] for t in range(ARROWS)]
+        return mapped[v]
+
     def beaten(rows: Matrix, k: int) -> bool:
+        v = rows[-1]
+        if best is not None and thetas[k][top] <= best.theta:
+            # The image of the line through v lies in the image of rows: a
+            # lower bound, tried only where its largest value would prune.
+            e = line_dims.get(v)
+            if e is None:
+                if net is not None and not _in_net_kernel(net, v, p):
+                    e = ARROWS
+                else:
+                    line = images.get((v,))
+                    if line is None:
+                        line = images[(v,)] = echelon_extend((), image_vectors(v), p)
+                    e = len(line)
+                line_dims[v] = e
+            if thetas[k][e] <= best.theta:
+                return True
         # The walk asks about every prefix of a basis, shortest first, so the
-        # image of rows[:-1] is already known: extend it by the new row's images.
+        # image of rows[:-1] is already known: extend it by the image of the
+        # new row's line, its echelon basis where that was folded already.
         basis = images.get(rows)
         if basis is None:
-            v = rows[-1]
-            if v not in mapped:
-                mapped[v] = [[sum(map(mul, row, v)) % p for row in m] for m in rep.maps]
-            basis = images[rows] = echelon_extend(images[rows[:-1]], mapped[v], p)
-        return best is not None and theta((k, len(basis))) <= best.theta
+            line = images.get((v,))
+            more = image_vectors(v) if line is None else [row for _, row in line]
+            basis = images[rows] = echelon_extend(images[rows[:-1]], more, p)
+        return best is not None and thetas[k][len(basis)] <= best.theta
 
-    for basis1 in subspaces(field, d1, prune=beaten):
+    for basis1 in subspaces(rep.field, d1, prune=beaten):
         w = (len(basis1), len(images[basis1]))
         if w == (d1, d2):
             continue

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -303,6 +306,17 @@ class TestMalformedInput:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: --format goes after the leaf command, for example `{example}`\n"
 
+    def test_stability_checks_dimensions_before_drawing(self):
+        # a 10^5 x 10^5 representation is never drawn: the cap is checked first
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanov5.cli", "quiver", "stability", "--dim", "100000", "100000", "--field", "2"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: dimensions capped at 4 for enumeration\n"
+
     def test_zero_dimension_keeps_shape_check(self, tmp_path):
         payload = {"q": 3, "d": [2, 0], "A": [[1, 2]], "B": [[5, 5], [1, 1]], "C": [[7]]}
         path = tmp_path / "rep.json"
@@ -313,6 +327,108 @@ class TestMalformedInput:
             text=True,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: map A must be 0x2\n")
+
+
+class TestCliFuzz:
+    """Generated quiver inputs end in exit 0, 1 or 2, never in a traceback."""
+
+    @staticmethod
+    def run_main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+            assert out.getvalue() == "", argv
+        else:
+            json.loads(out.getvalue())
+        return code
+
+    def test_payload_files(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        junk = st.one_of(
+            st.none(), st.booleans(), st.floats(allow_nan=False), st.text("ab1/-", max_size=4),
+            st.lists(st.integers(-2, 2), max_size=2), st.dictionaries(st.text("ab", max_size=1), st.integers(), max_size=1),
+        )
+        bad_q = st.one_of(st.sampled_from([7, 1000000007, 4, 1, 0, -5, "3"]), junk)
+        bad_d = st.lists(st.one_of(st.integers(0, 4), st.integers(-3, -1), st.integers(10**5, 10**12), junk), max_size=3)
+        entry = st.one_of(st.integers(-10**30, 10**30), st.sampled_from(["1/2", "-3/7", "1/0", "x"]), junk)
+
+        @st.composite
+        def payload(draw):
+            # a valid representation, then up to two of the faults below
+            d1, d2 = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+            maps = {
+                name: draw(st.lists(st.lists(st.integers(-9, 9), min_size=d1, max_size=d1), min_size=d2, max_size=d2))
+                for name in "ABC"
+            }
+            body = {"q": draw(st.sampled_from([2, 3, 5, "rational"])), "d": [d1, d2], **maps}
+            for fault in draw(st.lists(st.sampled_from(["q", "d", "map", "entry", "shape", "key"]), max_size=2)):
+                name = draw(st.sampled_from("ABC"))
+                if fault == "q":
+                    body["q"] = draw(bad_q)
+                elif fault == "d":
+                    body["d"] = draw(bad_d)
+                elif fault == "map":
+                    body[name] = draw(junk)
+                elif fault == "entry" and d1 and d2 and body.get(name) == maps[name]:
+                    body[name][0][0] = draw(entry)
+                elif fault == "shape":
+                    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+                    body[name] = [[0] * c for _ in range(r)]
+                elif fault == "key" and name in body:
+                    del body[name]
+            return body
+
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / "a.json", Path(tmp) / "b.json"]
+
+            @hypothesis.settings(max_examples=150, deadline=None)
+            @hypothesis.given(payload(), payload(), st.sampled_from(["stability", "hom-ext", "hom-ext2"]))
+            def check(a, b, command):
+                for path, body in zip(paths, (a, b)):
+                    path.write_text(json.dumps(body), encoding="utf-8")
+                if command == "stability":
+                    argv = ["quiver", "stability", "--matrices", str(paths[0])]
+                else:
+                    argv = ["quiver", "hom-ext", "--matrices", *map(str, paths[: 1 + (command == "hom-ext2")])]
+                self.run_main(argv)
+
+            check()
+
+    def test_stability_argv(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        word = st.text("abx.1", min_size=1, max_size=3)
+        bad = {
+            "--dim": st.one_of(st.integers(-3, -1), st.integers(5, 8), st.integers(10**5, 10**12), word),
+            "--field": st.one_of(st.sampled_from([7, 4, 1, 0, -2, 1000000007, 10**40]), word),
+            "--seed": word,
+        }
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            # valid flags, then up to two faults: a bad value, or a flag left out
+            values = {
+                "--dim": [data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))],
+                "--field": [data.draw(st.sampled_from([2, 3, 5]))],
+                "--seed": [data.draw(st.integers(-10**9, 10**9))],
+            }
+            for flag in data.draw(st.lists(st.sampled_from(sorted(values)), max_size=2)):
+                if data.draw(st.booleans()):
+                    values.pop(flag, None)
+                elif flag in values:
+                    values[flag][data.draw(st.integers(0, len(values[flag]) - 1))] = data.draw(bad[flag])
+            argv = ["quiver", "stability"]
+            for flag, args in values.items():
+                argv += [flag, *map(str, args)]
+            self.run_main(argv)
+
+        check()
 
 
 class TestVerify:

@@ -186,6 +186,21 @@ def reference_rref_fp(rows, field):
     return tuple(tuple(row) for row in m), rk
 
 
+def reference_echelon_extend(basis, vectors, p):
+    """The F_p kernel before it stopped folding at full rank, verbatim."""
+    out = list(basis)
+    for v in vectors:
+        for c, row in out:
+            f = v[c]
+            if f:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], p - 2, p)
+            out.append((lead, tuple(x * inv % p for x in v)))
+    return tuple(out)
+
+
 PRIMES = (2, 3, 5, 7, 1000000007)
 
 
@@ -247,6 +262,25 @@ class TestPrimeElimination:
                 assert row[c] == 1 and not any(row[:c]), rows
                 assert all(row[earlier] == 0 for earlier in pivots[:i]), rows
             assert echelon(rows, PrimeField(p)) == basis
+
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_folding_past_full_rank_matches_reference(self, p):
+        # rows, then the unit vectors (the span is full from there on), then more rows
+        rng = random.Random(p)
+        for rows in corpus_fp(p, seed=4, size=120):
+            if not rows or not rows[0]:
+                continue
+            n = len(rows[0])
+            vectors = [[x % p for x in row] for row in rows]
+            vectors += [[int(i == j) for j in range(n)] for i in reversed(range(n))]
+            vectors += [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+            assert echelon_extend((), vectors, p) == reference_echelon_extend((), vectors, p), rows
+            start = reference_echelon_extend((), vectors[: len(rows)], p)
+            rest = vectors[len(rows):]
+            assert echelon_extend(start, rest, p) == reference_echelon_extend(start, rest, p), rows
+            full = reference_echelon_extend((), vectors, p)
+            assert len(full) == n and echelon_extend(full, rest, p) == full, rows
 
 
 class TestPrimeField:

@@ -6,7 +6,8 @@ from typing import Optional
 
 import pytest
 
-from fanov5.linalg import QQ, PrimeField, count_subspaces, rank, row_space_basis, subspaces
+from fanov5 import quiver
+from fanov5.linalg import QQ, PrimeField, count_subspaces, mat_vec, rank, row_space_basis, subspaces
 from fanov5.quiver import (
     ARROWS,
     Stability,
@@ -14,6 +15,8 @@ from fanov5.quiver import (
     SubrepWitness,
     QuiverRep,
     _image_basis,
+    _in_net_kernel,
+    _net_kernels,
     check_stability,
     check_stability_pairs,
     direct_sum,
@@ -340,15 +343,30 @@ def reference_check_stability(rep):
 def stability_corpus():
     """Seeded representations over F2/F3/F5 at every d <= (4,4).
 
-    Zero, random, rank-one and direct-sum representations; over F5 a source
-    of dimension 4 (1,120 subspaces for the reference) gets fewer of them.
+    Zero, random, row-scaled, rank-one and direct-sum representations; over
+    F5 a source of dimension 4 (1,120 subspaces for the reference) gets
+    fewer random ones.  The rank-one maps come from a second stream, so the
+    other representations stay what they were before those were added:
+    three maps of rank <= 1 with independent images, and three onto one
+    common line, where every member of the net has a kernel of dimension
+    >= d1 - 1 and no line has a 3-dim image.
     """
     rng = random.Random(4242)
+    rank_one_rng = random.Random(4243)
     for field in (F2, F3, F5):
         p = field.p
         for d1, d2 in product(range(5), repeat=2):
             heavy = p == 5 and d1 == 4
             yield zero_rep(field, (d1, d2))
+            for common in (False, True):
+                u = [rank_one_rng.randrange(1, p) for _ in range(d2)]
+                maps = []
+                for _ in range(ARROWS):
+                    if not common:
+                        u = [rank_one_rng.randrange(p) for _ in range(d2)]
+                    w = [rank_one_rng.randrange(p) for _ in range(d1)]
+                    maps.append([[x * y for y in w] for x in u])
+                yield make_rep(field, (d1, d2), *maps)
             for _ in range(1 if heavy else 3):
                 yield random_rep((d1, d2), field, rng.randrange(10**6))
             if heavy and d2 < 4:
@@ -409,6 +427,83 @@ class TestPrunedSearch:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestNetCertification:
+    def test_certified_iff_image_has_rank_three(self):
+        # rank-nullity for (a, b, c) |-> (aA + bB + cC)v: the net kills no
+        # multiple of v iff Av, Bv, Cv are independent
+        checked = certified = 0
+        for rep in stability_corpus():
+            d1 = rep.d[0]
+            net = _net_kernels(rep)
+            for basis in subspaces(rep.field, d1):
+                if len(basis) != 1:
+                    continue
+                v = basis[0]
+                full = rank([mat_vec(m, v, rep.field) for m in rep.maps], rep.field) == ARROWS
+                assert (not _in_net_kernel(net, v, rep.field.p)) == full, (rep.to_json(), v)
+                checked += 1
+                certified += full
+        assert 0 < certified < checked
+
+    def test_kernels_of_dimension_two_or_more_stay_echelon_rows(self):
+        # the zero representation: every member is 0, so each kernel is all
+        # of F_5^4, kept as no rows at all rather than as its 156 lines
+        lines, wide = _net_kernels(zero_rep(F5, (4, 4)))
+        assert lines == set() and wide == [()] * 31
+        # one kernel line per singular member of rank d1 - 1, in the walk's monic form
+        rep = random_rep((4, 4), F5, 3)
+        lines, wide = _net_kernels(rep)
+        assert lines
+        for v in lines:
+            assert v[next(c for c, x in enumerate(v) if x)] == 1
+            assert (v,) == row_space_basis([v], F5)
+
+    def test_net_built_only_where_it_pays(self, monkeypatch):
+        # fewer members than source lines, p^2 + p + 1 < (p^d1 - 1)/(p - 1),
+        # holds from d1 = 4 on for p = 2, 3, 5; and a line needs d2 >= 3 for a
+        # 3-dim image.  Both sides of the condition give the unpruned verdict.
+        built = []
+        real = quiver._net_kernels
+        monkeypatch.setattr(quiver, "_net_kernels", lambda rep: built.append(rep.d) or real(rep))
+        for field in (F2, F3, F5):
+            for d in product(range(5), repeat=2):
+                if d == (0, 0):
+                    continue
+                built.clear()
+                rep = random_rep(d, field, 17)
+                assert check_stability(rep) == reference_check_stability(rep), rep.to_json()
+                assert built == ([d] if d[0] == 4 and d[1] >= 3 else []), (field, d)
+
+
+class TestWitnesses:
+    def test_witnesses_are_subrepresentations(self):
+        # the cross-layer property: each witness is a proper nonzero
+        # subrepresentation W1 + W2, W2 the RREF of A(W1) + B(W1) + C(W1)
+        witnesses = 0
+        for rep in stability_corpus():
+            if rep.d == (0, 0):
+                continue
+            verdict = check_stability(rep)
+            if verdict.status is Stability.STABLE:
+                assert verdict.witness is None
+                continue
+            w, field = verdict.witness, rep.field
+            (k, e), (d1, d2) = w.dims, rep.d
+            assert (k, e) not in ((0, 0), (d1, d2)) and k <= d1 and e <= d2, rep.to_json()
+            assert rank(w.basis1, field) == k and rank(w.basis2, field) == e, rep.to_json()
+            assert w.basis1 == row_space_basis(w.basis1, field), rep.to_json()
+            image = [mat_vec(m, v, field) for v in w.basis1 for m in rep.maps]
+            assert rank(list(w.basis2) + image, field) == e, rep.to_json()
+            if k:
+                assert w.basis2 == row_space_basis(image, field), rep.to_json()
+            else:
+                # a zero W1 has a zero image; the witness takes the first coordinate line
+                assert w.basis2 == ((1,) + (0,) * (d2 - 1),), rep.to_json()
+            assert w.theta == theta(w.dims), rep.to_json()
+            witnesses += 1
+        assert witnesses > 300
 
 
 class TestSubspaceWalk:
