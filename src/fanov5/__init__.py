@@ -1,6 +1,6 @@
 """Exact-arithmetic toolkit for the degree-5 Fano threefold and Gr(2,5).
 
-Four layers, importable separately:
+Five layers, importable separately:
 
   * :mod:`fanov5.weights`  -- SL(n) weights, dominantization, Weyl dimensions;
   * :mod:`fanov5.bundles`  -- equivariant bundles on Gr(k,n) and their cohomology;
@@ -44,6 +44,7 @@ from .koszul import (
     restrict_cohomology,
     ulrich_check,
 )
+from .linalg import QQ, PrimeField
 from .quiver import (
     QuiverRep,
     Stability,
@@ -79,6 +80,8 @@ __all__ = [
     "EpsVector",
     "EquivariantBundle",
     "KoszulPage",
+    "PrimeField",
+    "QQ",
     "QuiverRep",
     "RestrictionResult",
     "RestrictionStatus",

@@ -112,15 +112,12 @@ def emit(value: Any, fmt: str) -> None:
 
 
 def _bundle_from(args) -> bundles.EquivariantBundle:
-    b = bundles.catalog(args.bundle, n=args.n, k=args.k)
-    return bundles.twist(b, args.twist)
+    return bundles.twist(bundles.catalog(args.bundle), args.twist)
 
 
 def _add_bundle_flags(p: Parser) -> None:
     p.add_argument("--bundle", required=True, choices=bundles.CATALOG_NAMES)
     p.add_argument("--twist", type=int, default=0)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--k", type=int, default=2)
 
 
 def build_parser() -> Parser:
@@ -305,7 +302,7 @@ def _run_quiver(args) -> int:
             args.format,
         )
     elif cmd == "random":
-        rep = quiver.random_rep(tuple(args.dim), field_for(args.field), args.seed)
+        rep = quiver.random_rep(args.dim, field_for(args.field), args.seed)
         emit(json.loads(rep.to_json()), args.format)
     return EXIT_OK
 

