@@ -59,18 +59,6 @@ class ChowClass:
             return self.__rmul__(other)
         return ChowClass(*_product(self.coefficients(), other.coefficients()))
 
-    def __pow__(self, e: int) -> "ChowClass":
-        """``self`` to a nonnegative power, by square-and-multiply."""
-        if e < 0:
-            raise ValueError(f"exponent must be nonnegative, got {e}")
-        out, base = ONE, self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def integrate(self) -> Fraction:
         """Degree of the top piece (coefficient on the point class)."""
         return self.a3
@@ -119,15 +107,6 @@ TANGENT_C1_H = 2
 TANGENT_C2_L = 12
 
 
-def chow_inverse(x: ChowClass) -> ChowClass:
-    """Multiplicative inverse; the positive-degree part is nilpotent."""
-    if x.a0 == 0:
-        raise ZeroDivisionError("class with zero degree-0 part is not invertible")
-    u = (1 / x.a0) * x - ONE
-    series = ONE - u + u * u - u * u * u
-    return (1 / x.a0) * series
-
-
 def exp_h(t: Scalar) -> ChowClass:
     """exp(t*h) = 1 + t*h + (5t^2/2) l + (5t^3/6) p."""
     t = Fraction(t)
@@ -161,9 +140,6 @@ class BundleClass:
         ch3 = Fraction(5 * c1 ** 3 - 3 * c1 * c2 + 3 * c3, 6)
         return ChowClass(self.rank, c1, ch2, ch3)
 
-    def total_chern(self) -> ChowClass:
-        return ChowClass(1, self.c1, self.c2, self.c3)
-
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.rank, self.c1, self.c2, self.c3)
 
@@ -180,17 +156,6 @@ def class_from_ch(rank: int, ch: ChowClass) -> BundleClass:
     c2 = _as_int(Fraction(5 * c1 * c1) / 2 - ch.a2, "c2")
     c3 = _as_int((6 * ch.a3 - 5 * c1 ** 3 + 3 * c1 * c2) / 3, "c3")
     return BundleClass(rank=rank, c1=c1, c2=c2, c3=c3)
-
-
-def class_from_total_chern(rank: int, c: ChowClass) -> BundleClass:
-    if c.a0 != 1:
-        raise ValueError(f"total Chern class must start with 1, got {c.a0}")
-    return BundleClass(
-        rank=rank,
-        c1=_as_int(c.a1, "c1"),
-        c2=_as_int(c.a2, "c2"),
-        c3=_as_int(c.a3, "c3"),
-    )
 
 
 def _chi_cubic(ch: ChowClass) -> tuple[tuple[int, int, int, int], int]:
@@ -280,15 +245,13 @@ def ulrich_class(r: int) -> BundleClass:
 def coker_class(r: int) -> BundleClass:
     """Class of the cokernel of a fiberwise-injective map U^r -> Qstar^r.
 
-    Total Chern class c(Qstar)^r / c(U)^r truncated in degree 3; the rank is
-    3r - 2r = r.  The quotient collapses to (1 + l)^r.
+    The Chern character is additive on 0 -> U^r -> Qstar^r -> E -> 0, so
+    ch E = r (ch Qstar - ch U), of rank 3r - 2r = r; its Chern classes are
+    those of (1 + l)^r = 1 + r l.
     """
     if r < 1:
         raise ValueError(f"multiplicity must be positive, got {r}")
-    c = (CATALOG_CLASSES["Qstar"].total_chern() ** r) * chow_inverse(
-        CATALOG_CLASSES["U"].total_chern() ** r
-    )
-    return class_from_total_chern(r, c)
+    return class_from_ch(r, r * (CATALOG_CLASSES["Qstar"].ch() - CATALOG_CLASSES["U"].ch()))
 
 
 # Integral Chern data of the restricted catalog bundles on the threefold.

@@ -5,6 +5,11 @@ default (sorted keys, no whitespace) or an aligned text table with
 ``--format table``.  Exit codes: 0 success, 1 usage or domain error,
 2 honestly-indeterminate result (an unresolved restriction differential
 or an Ulrich verdict that depends on one).
+
+Each leaf command registers its handler on its own subparser as the
+``run`` default, so argparse is the only dispatch: ``main`` parses and
+returns ``args.run(args)``.  Handlers look library functions up through
+their modules (``koszul.restrict_cohomology``) at call time.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import bundles, checklist, chow, koszul, quiver
 from .linalg import PrimeField, field_for
@@ -120,85 +125,21 @@ def _add_bundle_flags(p: Parser) -> None:
     p.add_argument("--twist", type=int, default=0)
 
 
-def build_parser() -> Parser:
-    parser = Parser(prog="fanov5")
-    parser.add_argument("--format", action=_MisplacedFormat, example="bwb --bundle O")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _emits(compute: Callable[[argparse.Namespace], Any]) -> Callable[[argparse.Namespace], int]:
+    """A leaf handler that emits ``compute(args)`` and exits 0."""
 
-    fmt_parent = Parser(add_help=False)
-    fmt_parent.add_argument("--format", choices=("json", "table"), default="json")
+    def run(args) -> int:
+        emit(compute(args), args.format)
+        return EXIT_OK
 
-    p_bwb = sub.add_parser("bwb", parents=[fmt_parent], help="ambient cohomology table")
-    _add_bundle_flags(p_bwb)
-
-    p_chain = sub.add_parser("chain", parents=[fmt_parent], help="reflection chain replay")
-    _add_bundle_flags(p_chain)
-
-    p_restrict = sub.add_parser("restrict", parents=[fmt_parent], help="restrict to a linear section")
-    _add_bundle_flags(p_restrict)
-    p_restrict.add_argument("--codim", type=int, required=True)
-    p_restrict.add_argument("--assume-generic", action="store_true")
-
-    p_ulrich = sub.add_parser("ulrich", parents=[fmt_parent], help="vanishing check for all middle twists")
-    _add_bundle_flags(p_ulrich)
-    p_ulrich.add_argument("--codim", type=int, required=True)
-    p_ulrich.add_argument("--assume-generic", action="store_true")
-
-    p_chow = sub.add_parser("chow", help="intersection theory on the threefold")
-    p_chow.add_argument("--format", action=_MisplacedFormat, example="todd")
-    chow_sub = p_chow.add_subparsers(dest="chow_command", required=True)
-    pc = chow_sub.add_parser("chi", parents=[fmt_parent])
-    pc.add_argument("--bundle", required=True, choices=tuple(chow.CATALOG_CLASSES))
-    pc.add_argument("--twist", type=int, default=0)
-    pc = chow_sub.add_parser("class", parents=[fmt_parent])
-    pc.add_argument("--bundle", required=True, choices=tuple(chow.CATALOG_CLASSES))
-    pc = chow_sub.add_parser("ulrich-chern", parents=[fmt_parent])
-    pc.add_argument("--rank", type=int, required=True)
-    pc = chow_sub.add_parser("coker", parents=[fmt_parent])
-    pc.add_argument("--rank", type=int, required=True)
-    pc = chow_sub.add_parser("pairing", parents=[fmt_parent])
-    pc.add_argument("--rank", type=int, required=True)
-    chow_sub.add_parser("todd", parents=[fmt_parent])
-
-    p_quiver = sub.add_parser("quiver", help="Kronecker quiver computations")
-    p_quiver.add_argument("--format", action=_MisplacedFormat, example="theta --dim 2 1")
-    q_sub = p_quiver.add_subparsers(dest="quiver_command", required=True)
-    pq = q_sub.add_parser("euler-form", parents=[fmt_parent])
-    pq.add_argument("--dim", type=int, nargs=2, required=True)
-    pq.add_argument("--dim2", type=int, nargs=2)
-    pq = q_sub.add_parser("theta", parents=[fmt_parent])
-    pq.add_argument("--dim", type=int, nargs=2, required=True)
-    pq = q_sub.add_parser("moduli-dim", parents=[fmt_parent])
-    pq.add_argument("--dim", type=int, nargs=2, required=True)
-    pq = q_sub.add_parser("hom-ext", parents=[fmt_parent])
-    pq.add_argument("--matrices", nargs="+", required=True, metavar="PATH")
-    pq = q_sub.add_parser("stability", parents=[fmt_parent])
-    pq.add_argument("--matrices", metavar="PATH")
-    pq.add_argument("--dim", type=int, nargs=2)
-    pq.add_argument("--field", type=int)
-    pq.add_argument("--seed", type=int, default=0)
-    pq = q_sub.add_parser("random", parents=[fmt_parent])
-    pq.add_argument("--dim", type=int, nargs=2, required=True)
-    pq.add_argument("--field", required=True)
-    pq.add_argument("--seed", type=int, default=0)
-
-    p_verify = sub.add_parser("verify", help="run the reproduction checklist")
-    p_verify.add_argument("suite", choices=("paper",))
-
-    return parser
+    return run
 
 
-def _run_bwb(args) -> int:
-    table = bundles.cohomology(_bundle_from(args))
-    emit(_table_json(table), args.format)
-    return EXIT_OK
-
-
-def _run_chain(args) -> int:
+def _chain_json(args) -> dict[str, Any]:
     b = _bundle_from(args)
     chain_start = b.weight + rho(b.n)
     chain = reflection_chain(chain_start)
-    payload = {
+    return {
         "start": _weight_json(chain_start),
         "steps": [
             {"sigma": s.reflection, "weight": _weight_json(s.weight)} for s in chain.steps
@@ -207,8 +148,6 @@ def _run_chain(args) -> int:
         "final": _weight_json(chain.final),
         "length": chain.length,
     }
-    emit(payload, args.format)
-    return EXIT_OK
 
 
 def _run_restrict(args) -> int:
@@ -238,26 +177,9 @@ def _run_ulrich(args) -> int:
     return EXIT_INDETERMINATE if verdict.is_ulrich is None else EXIT_OK
 
 
-def _run_chow(args) -> int:
-    cmd = args.chow_command
-    if cmd == "chi":
-        emit(chow.chi(chow.catalog_class(args.bundle), args.twist), args.format)
-    elif cmd == "class":
-        emit(_class_json(chow.catalog_class(args.bundle)), args.format)
-    elif cmd == "ulrich-chern":
-        emit(_class_json(chow.ulrich_class(args.rank)), args.format)
-    elif cmd == "coker":
-        emit(_class_json(chow.coker_class(args.rank)), args.format)
-    elif cmd == "pairing":
-        e = chow.ulrich_class(args.rank)
-        emit(chow.euler_pairing(e, e), args.format)
-    elif cmd == "todd":
-        td = chow.todd_v5()
-        emit(
-            {"1": str(td.a0), "h": str(td.a1), "l": str(td.a2), "p": str(td.a3)},
-            args.format,
-        )
-    return EXIT_OK
+def _self_pairing(args) -> int:
+    e = chow.ulrich_class(args.rank)
+    return chow.euler_pairing(e, e)
 
 
 def _load_rep(path: str) -> quiver.QuiverRep:
@@ -265,67 +187,115 @@ def _load_rep(path: str) -> quiver.QuiverRep:
         return quiver.QuiverRep.from_json(fh.read())
 
 
-def _run_quiver(args) -> int:
-    cmd = args.quiver_command
-    if cmd == "euler-form":
-        a = quiver.dim_vector(args.dim)
-        b = quiver.dim_vector(args.dim2) if args.dim2 else a
-        emit(quiver.euler_form(a, b), args.format)
-    elif cmd == "theta":
-        emit(quiver.theta(quiver.dim_vector(args.dim)), args.format)
-    elif cmd == "moduli-dim":
-        emit(quiver.moduli_dim(args.dim), args.format)
-    elif cmd == "hom-ext":
-        if len(args.matrices) not in (1, 2):
-            raise CliError("--matrices takes one or two paths")
-        reps = [_load_rep(p) for p in args.matrices]
-        if len(reps) == 1:
-            reps = [reps[0], reps[0]]
-        h, e = quiver.hom_ext(*reps)
-        emit({"hom": h, "ext1": e}, args.format)
-    elif cmd == "stability":
-        if args.matrices:
-            rep = _load_rep(args.matrices)
-        else:
-            if args.dim is None or args.field is None:
-                raise CliError("stability needs --matrices or --dim with --field")
-            field = PrimeField(args.field)
-            d = quiver.check_stability_input(field, args.dim)
-            rep = quiver.random_rep(d, field, args.seed)
-        verdict = quiver.check_stability(rep)
-        emit(
-            {
-                "status": verdict.status.value,
-                "theta": quiver.theta(rep.d),
-                "witness": _witness_json(verdict.witness),
-            },
-            args.format,
-        )
-    elif cmd == "random":
-        rep = quiver.random_rep(args.dim, field_for(args.field), args.seed)
-        emit(json.loads(rep.to_json()), args.format)
-    return EXIT_OK
+def _hom_ext_json(args) -> dict[str, int]:
+    if len(args.matrices) not in (1, 2):
+        raise CliError("--matrices takes one or two paths")
+    reps = [_load_rep(p) for p in args.matrices]
+    h, e = quiver.hom_ext(reps[0], reps[-1])
+    return {"hom": h, "ext1": e}
 
 
-def _run_verify(args) -> int:
-    ok = checklist.run_all()
-    return EXIT_OK if ok else EXIT_ERROR
+def _stability_json(args) -> dict[str, Any]:
+    if args.matrices:
+        rep = _load_rep(args.matrices)
+    else:
+        if args.dim is None or args.field is None:
+            raise CliError("stability needs --matrices or --dim with --field")
+        field = PrimeField(args.field)
+        d = quiver.check_stability_input(field, args.dim)
+        rep = quiver.random_rep(d, field, args.seed)
+    verdict = quiver.check_stability(rep)
+    return {
+        "status": verdict.status.value,
+        "theta": quiver.theta(rep.d),
+        "witness": _witness_json(verdict.witness),
+    }
+
+
+def build_parser() -> Parser:
+    parser = Parser(prog="fanov5")
+    parser.add_argument("--format", action=_MisplacedFormat, example="bwb --bundle O")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    fmt_parent = Parser(add_help=False)
+    fmt_parent.add_argument("--format", choices=("json", "table"), default="json")
+
+    def leaf(group, name: str, run: Callable[[argparse.Namespace], int], **kwargs) -> Parser:
+        p = group.add_parser(name, parents=[fmt_parent], **kwargs)
+        p.set_defaults(run=run)
+        return p
+
+    p = leaf(sub, "bwb", _emits(lambda a: _table_json(bundles.cohomology(_bundle_from(a)))),
+             help="ambient cohomology table")
+    _add_bundle_flags(p)
+
+    p = leaf(sub, "chain", _emits(_chain_json), help="reflection chain replay")
+    _add_bundle_flags(p)
+
+    p = leaf(sub, "restrict", _run_restrict, help="restrict to a linear section")
+    _add_bundle_flags(p)
+    p.add_argument("--codim", type=int, required=True)
+    p.add_argument("--assume-generic", action="store_true")
+
+    p = leaf(sub, "ulrich", _run_ulrich, help="vanishing check for all middle twists")
+    _add_bundle_flags(p)
+    p.add_argument("--codim", type=int, required=True)
+    p.add_argument("--assume-generic", action="store_true")
+
+    p_chow = sub.add_parser("chow", help="intersection theory on the threefold")
+    p_chow.add_argument("--format", action=_MisplacedFormat, example="todd")
+    chow_sub = p_chow.add_subparsers(dest="chow_command", required=True)
+    p = leaf(chow_sub, "chi", _emits(lambda a: chow.chi(chow.catalog_class(a.bundle), a.twist)))
+    p.add_argument("--bundle", required=True, choices=tuple(chow.CATALOG_CLASSES))
+    p.add_argument("--twist", type=int, default=0)
+    p = leaf(chow_sub, "class", _emits(lambda a: _class_json(chow.catalog_class(a.bundle))))
+    p.add_argument("--bundle", required=True, choices=tuple(chow.CATALOG_CLASSES))
+    p = leaf(chow_sub, "ulrich-chern", _emits(lambda a: _class_json(chow.ulrich_class(a.rank))))
+    p.add_argument("--rank", type=int, required=True)
+    p = leaf(chow_sub, "coker", _emits(lambda a: _class_json(chow.coker_class(a.rank))))
+    p.add_argument("--rank", type=int, required=True)
+    p = leaf(chow_sub, "pairing", _emits(_self_pairing))
+    p.add_argument("--rank", type=int, required=True)
+    leaf(chow_sub, "todd", _emits(lambda a: dict(zip("1hlp", map(str, chow.todd_v5().coefficients())))))
+
+    p_quiver = sub.add_parser("quiver", help="Kronecker quiver computations")
+    p_quiver.add_argument("--format", action=_MisplacedFormat, example="theta --dim 2 1")
+    q_sub = p_quiver.add_subparsers(dest="quiver_command", required=True)
+    p = leaf(q_sub, "euler-form", _emits(
+        lambda a: quiver.euler_form(quiver.dim_vector(a.dim), quiver.dim_vector(a.dim2 or a.dim))
+    ))
+    p.add_argument("--dim", type=int, nargs=2, required=True)
+    p.add_argument("--dim2", type=int, nargs=2)
+    p = leaf(q_sub, "theta", _emits(lambda a: quiver.theta(quiver.dim_vector(a.dim))))
+    p.add_argument("--dim", type=int, nargs=2, required=True)
+    p = leaf(q_sub, "moduli-dim", _emits(lambda a: quiver.moduli_dim(a.dim)))
+    p.add_argument("--dim", type=int, nargs=2, required=True)
+    p = leaf(q_sub, "hom-ext", _emits(_hom_ext_json))
+    p.add_argument("--matrices", nargs="+", required=True, metavar="PATH")
+    p = leaf(q_sub, "stability", _emits(_stability_json))
+    p.add_argument("--matrices", metavar="PATH")
+    p.add_argument("--dim", type=int, nargs=2)
+    p.add_argument("--field", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p = leaf(q_sub, "random", _emits(
+        lambda a: json.loads(quiver.random_rep(a.dim, field_for(a.field), a.seed).to_json())
+    ))
+    p.add_argument("--dim", type=int, nargs=2, required=True)
+    p.add_argument("--field", required=True)
+    p.add_argument("--seed", type=int, default=0)
+
+    p = sub.add_parser("verify", help="run the reproduction checklist")
+    p.add_argument("suite", choices=("paper",))
+    p.set_defaults(run=lambda a: EXIT_OK if checklist.run_all() else EXIT_ERROR)
+
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "bwb": _run_bwb,
-            "chain": _run_chain,
-            "restrict": _run_restrict,
-            "ulrich": _run_ulrich,
-            "chow": _run_chow,
-            "quiver": _run_quiver,
-            "verify": _run_verify,
-        }[args.command]
-        return handler(args)
+        return args.run(args)
     except (CliError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -414,14 +414,20 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     3-dim image.  The net's p^2 + p + 1 kernels are computed up front only
     where that is fewer eliminations than folding the image of every source
     line, (p^d1 - 1)/(p - 1) of them, and where a line can have a 3-dim
-    image at all (d2 >= 3); any other line's image is folded directly, once
-    per call, and a partial basis ending in that line is extended by the
-    folded basis rather than by the three raw images.  Every fold stops
-    once the image spans all of F_p^d2 (``echelon_extend``).
+    image at all: the columns of A, B and C, which span A(F_p^d1) +
+    B(F_p^d1) + C(F_p^d1), must span at least 3 dimensions.  Any other
+    line's image is folded directly, once per call, and a partial basis
+    ending in that line is extended by the folded basis rather than by the
+    three raw images.  Every fold stops once the image spans all of F_p^d2
+    (``echelon_extend``).
     """
     d1, d2 = check_stability_input(rep.field, rep.d)
     p = rep.field.p
-    net = _net_kernels(rep) if ARROWS <= d2 and _lines(p, ARROWS) < _lines(p, d1) else None
+    net = None
+    if _lines(p, ARROWS) < _lines(p, d1):
+        columns = [col for m in rep.maps for col in zip(*m)]
+        if len(echelon_extend((), columns, p)) >= ARROWS:
+            net = _net_kernels(rep)
     images: dict[Matrix, Echelon] = {(): ()}
     mapped: dict[tuple[int, ...], list[list[int]]] = {}
     line_dims: dict[tuple[int, ...], int] = {}

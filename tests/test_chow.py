@@ -18,7 +18,6 @@ from fanov5.chow import (
     ch_tensor,
     chi,
     chi_ch,
-    chow_inverse,
     class_from_ch,
     coker_class,
     euler_pairing,
@@ -55,6 +54,24 @@ def twist_oracle(b: BundleClass, t: int) -> BundleClass:
     return BundleClass(r, c1t, c2t, c3t)
 
 
+def whitney_coker(r: int) -> BundleClass:
+    """Chern classes of the cokernel of U^r -> Qstar^r by the Whitney formula.
+
+    c(E) = c(Qstar)^r * c(U)^-r as repeated products of total Chern classes,
+    c(U)^-1 the geometric series in its nilpotent positive-degree part.  It
+    never touches the Chern character, which ``coker_class`` uses.
+    """
+    c_qstar, c_u = (ChowClass(1, *catalog_class(name).as_tuple()[1:]) for name in ("Qstar", "U"))
+    u = c_u - ONE
+    c_u_inverse = ONE - u + u * u - u * u * u
+    assert c_u * c_u_inverse == ONE
+    c = ONE
+    for _ in range(r):
+        c = c * c_qstar * c_u_inverse
+    assert c.a0 == 1 and all(x.denominator == 1 for x in c.coefficients())
+    return BundleClass(r, *(int(x) for x in c.coefficients()[1:]))
+
+
 class TestRingAxioms:
     def test_generators(self):
         assert H * H == 5 * L
@@ -76,24 +93,6 @@ class TestRingAxioms:
             assert x * y == y * x
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
-
-    def test_inverse(self):
-        rng = random.Random(6)
-        for _ in range(100):
-            x = random_class(rng)
-            if x.a0 == 0:
-                continue
-            assert x * chow_inverse(x) == ONE
-
-    def test_power_is_repeated_product(self):
-        rng = random.Random(8)
-        for _ in range(50):
-            x, product = random_class(rng), ONE
-            for e in range(10):
-                assert x ** e == product
-                product = product * x
-        with pytest.raises(ValueError):
-            H ** -1
 
     def test_exp_h_is_a_homomorphism(self):
         for s in range(-4, 5):
@@ -248,6 +247,10 @@ class TestUlrichClass:
 
 
 class TestCokerClass:
+    def test_matches_whitney_formula(self):
+        for r in range(1, 11):
+            assert coker_class(r) == whitney_coker(r)
+
     def test_rank_and_c1(self):
         for r in range(1, 11):
             ck = coker_class(r)
@@ -267,7 +270,7 @@ class TestCokerClass:
         assert coker_class(1).rank == 1
 
     def test_large_rank_is_fast(self):
-        # square-and-multiply takes ~40 products here, not a million
+        # one difference of characters scaled by r, however large r is
         assert coker_class(10**6).as_tuple() == (10**6, 0, 10**6, 0)
 
 

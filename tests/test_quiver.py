@@ -462,8 +462,9 @@ class TestNetCertification:
 
     def test_net_built_only_where_it_pays(self, monkeypatch):
         # fewer members than source lines, p^2 + p + 1 < (p^d1 - 1)/(p - 1),
-        # holds from d1 = 4 on for p = 2, 3, 5; and a line needs d2 >= 3 for a
-        # 3-dim image.  Both sides of the condition give the unpruned verdict.
+        # holds from d1 = 4 on for p = 2, 3, 5; and a line has a 3-dim image
+        # only if the columns of A, B and C span 3 dimensions, so d2 >= 3.
+        # Both sides of the condition give the unpruned verdict.
         built = []
         real = quiver._net_kernels
         monkeypatch.setattr(quiver, "_net_kernels", lambda rep: built.append(rep.d) or real(rep))
@@ -475,6 +476,16 @@ class TestNetCertification:
                 rep = random_rep(d, field, 17)
                 assert check_stability(rep) == reference_check_stability(rep), rep.to_json()
                 assert built == ([d] if d[0] == 4 and d[1] >= 3 else []), (field, d)
+        # at (4,4) over F5, maps of rank <= 1 onto one common line, and onto
+        # two: the columns span 1 and 2 dimensions, so no net is built
+        u, u2 = [1, 2, 0, 3], [0, 1, 4, 4]
+        sources = ([1, 0, 2, 4], [3, 3, 0, 1], [0, 4, 4, 2])
+        for targets in ((u, u, u), (u, u2, u)):
+            maps = [[[x * y % 5 for y in w] for x in t] for t, w in zip(targets, sources)]
+            rep = make_rep(F5, (4, 4), *maps)
+            built.clear()
+            assert check_stability(rep) == reference_check_stability(rep), rep.to_json()
+            assert built == [], rep.to_json()
 
 
 class TestWitnesses:
