@@ -56,12 +56,6 @@ class PrimeField:
     def normalize(self, x: int) -> int:
         return int(x) % self.p
 
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(x, self.p - 2, self.p)
-
     def elements(self) -> range:
         return range(self.p)
 
@@ -87,10 +81,6 @@ def field_for(q: Union[int, str, None]) -> Field:
 
 def matrix(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
     return tuple(tuple(field.normalize(x) for x in row) for row in rows)
-
-
-def mat_vec(m: Matrix, v: Sequence[Entry], field: Field) -> tuple[Entry, ...]:
-    return tuple(field.normalize(sum(a * b for a, b in zip(row, v))) for row in m)
 
 
 # Echelon rows: (pivot column, row) pairs on ints, each row zero left of its
@@ -266,16 +256,3 @@ def _walk(
         child = rows + (tuple(row),)
         if prune is None or not prune(child, len(pivots)):
             yield from _walk(child, pivots, n, elements, prune)
-
-
-def count_subspaces(p: int, n: int) -> int:
-    """Total number of subspaces of F_p^n (sum of Gaussian binomials)."""
-    total = 0
-    for k in range(n + 1):
-        num = 1
-        den = 1
-        for i in range(k):
-            num *= p ** (n - i) - 1
-            den *= p ** (k - i) - 1
-        total += num // den
-    return total

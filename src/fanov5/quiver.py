@@ -16,14 +16,18 @@ seen through N finishes it, on a third of the full matrix's rows.  Over
 Q the entries of that last matrix carry minors of the source maps, so
 the route pays off at the small sizes the toolkit uses (see ``hom_ext``).
 
-Stability checks over a prime field are exhaustive: for every subspace W1
-of the source, the theta-maximizing subrepresentation through W1 takes
-W2 = A(W1) + B(W1) + C(W1), so enumerating pairs (W1, minimal W2) (plus
-the one-dimensional targets that a zero W1 allows) finds a maximizing
-witness or certifies stability.  ``check_stability`` walks the source
-subspaces row by row and prunes those that cannot beat the best theta
-found so far; ``check_stability_pairs`` is the unpruned oracle over raw
-pairs (W1, W2).
+Stability is King's for the slope theta(e)/(e1 + e2) (King 1994, Quart.
+J. Math. 45): a subrepresentation W of V destabilises iff its slope
+exceeds V's, that is iff the integer ``king_weight(w, d)`` =
+theta(w)(d1 + d2) - theta(d)(w1 + w2) is positive, and it ties iff the
+weight is 0.  On the diagonal d = (r, r) the weight is 2r*theta(w).
+Checks over a prime field are exhaustive: for every subspace W1 of the
+source, the weight-maximizing subrepresentation through W1 takes
+W2 = A(W1) + B(W1) + C(W1), since the weight never rises with w2, so
+enumerating pairs (W1, minimal W2) (plus the one-dimensional targets
+that a zero W1 allows) finds a maximizing witness or certifies
+stability.  ``check_stability`` walks the source subspaces row by row and
+prunes those that cannot beat the best weight found so far.
 
 The prune asks the line of the newest row first, since the image of any
 line of W1 bounds the image of W1 from below.  A line v has a 3-dim image
@@ -54,11 +58,9 @@ from .linalg import (
     echelon,
     echelon_extend,
     field_for,
-    mat_vec,
     matrix,
     rank,
     reduce_echelon,
-    row_space_basis,
     subspaces,
 )
 
@@ -80,6 +82,16 @@ def euler_form(a: DimVector, b: DimVector) -> int:
 def theta(d: DimVector) -> int:
     """theta(d) = <(5,10), d> = 5 (d1 - d2)."""
     return euler_form(THETA_SOURCE, d)
+
+
+def king_weight(w: DimVector, d: DimVector) -> int:
+    """theta(w)(d1 + d2) - theta(d)(w1 + w2) = 10 (d2 w1 - d1 w2).
+
+    A subrepresentation of dimension w destabilises one of dimension d iff
+    this is positive (its slope theta/dim is larger), and ties iff it is 0.
+    For a fixed w1 it falls by 10 d1 per unit of w2.
+    """
+    return theta(w) * (d[0] + d[1]) - theta(d) * (w[0] + w[1])
 
 
 def dim_vector(d) -> DimVector:
@@ -279,26 +291,24 @@ class Stability(enum.Enum):
 
 @dataclass(frozen=True)
 class SubrepWitness:
-    """A destabilizing (or theta-tying) subrepresentation."""
+    """A destabilizing (or slope-tying) subrepresentation."""
 
     basis1: Matrix
     basis2: Matrix
-    theta: int
 
     @property
     def dims(self) -> DimVector:
         return (len(self.basis1), len(self.basis2))
+
+    @property
+    def theta(self) -> int:
+        return theta(self.dims)
 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
     status: Stability
     witness: Optional[SubrepWitness] = None
-
-
-def _image_basis(rep: QuiverRep, basis1: Matrix) -> Matrix:
-    vectors = [mat_vec(m, v, rep.field) for v in basis1 for m in rep.maps]
-    return row_space_basis(vectors, rep.field)
 
 
 def check_stability_input(field: Field, d) -> DimVector:
@@ -389,25 +399,28 @@ def _in_net_kernel(net: _NetKernels, v: tuple[int, ...], p: int) -> bool:
 
 
 def check_stability(rep: QuiverRep) -> StabilityVerdict:
-    """King verdict for theta over a prime field, by exhaustive enumeration.
+    """King verdict for the slope of theta over a prime field, by exhaustive enumeration.
 
-    Proper nonzero subrepresentations W are compared by theta against the
-    whole representation; the returned witness maximizes theta, the first
-    maximizer in enumeration order.  Through each source subspace W1 only
-    the minimal W2 = A(W1) + B(W1) + C(W1) is a candidate, which is lossless
-    because enlarging W2 only lowers theta.  Source subspaces are walked
-    row by row with the image's echelon basis extended per row on plain
-    ints; a partial basis of a k-dim W1 whose image already has dimension e
-    is pruned once theta(k, e) <= the best theta so far, which is lossless
-    too: every extension has an image of dimension >= e, and a candidate
-    replaces the best only on a strictly larger theta.  A new best's W2 is
-    that echelon basis brought to RREF.  The zero representation is
-    rejected: it has no proper nonzero subrepresentation, but it is not
-    stable either.
+    Proper nonzero subrepresentations W are compared with the whole
+    representation V by ``king_weight(dim W, dim V)``: V is stable if every
+    weight is negative, strictly semistable if the largest is 0, and
+    unstable if it is positive.  The returned witness maximizes the weight,
+    the first maximizer in enumeration order.  Through each source subspace
+    W1 only the minimal W2 = A(W1) + B(W1) + C(W1) is a candidate, which is
+    lossless because the weight of (k, e) falls by 10 d1 per unit of e, so
+    enlarging W2 never raises it.  Source subspaces are walked row by row
+    with the image's echelon basis extended per row on plain ints; a
+    partial basis of a k-dim W1 whose image already has dimension e is
+    pruned once the weight of (k, e) is <= the best weight so far, which is
+    lossless too: every extension has an image of dimension >= e, and a
+    candidate replaces the best only on a strictly larger weight.  A new
+    best's W2 is that echelon basis brought to RREF.  The zero
+    representation is rejected: it has no proper nonzero subrepresentation,
+    but it is not stable either.
 
     Before the image basis of a partial basis is built, the line of its last
-    row is tried: its image span(Av, Bv, Cv) lies in the image of W1, so
-    theta(k, dim span(Av, Bv, Cv)) <= the best prunes as the full rule
+    row is tried: its image span(Av, Bv, Cv) lies in the image of W1, so a
+    weight of (k, dim span(Av, Bv, Cv)) <= the best prunes as the full rule
     would, with no elimination.  That dimension is 3 minus the dimension of
     {(a, b, c) : (aA + bB + cC)v = 0} (rank-nullity for (a, b, c) |->
     (aA + bB + cC)v), so a line in the kernel of no member of the net has a
@@ -431,12 +444,13 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     images: dict[Matrix, Echelon] = {(): ()}
     mapped: dict[tuple[int, ...], list[list[int]]] = {}
     line_dims: dict[tuple[int, ...], int] = {}
-    # theta(k, e) by table, since the prune rule asks it for every prefix;
-    # a line's image has dimension at most ``top``.
-    thetas = [[theta((k, e)) for e in range(d2 + 1)] for k in range(d1 + 1)]
+    # The weight of (k, e) by table, since the prune rule asks it for every
+    # prefix; a line's image has dimension at most ``top``.
+    weights = [[king_weight((k, e), rep.d) for e in range(d2 + 1)] for k in range(d1 + 1)]
     top = min(ARROWS, d2)
 
     best: Optional[SubrepWitness] = None
+    weight = 0  # the best's weight, read only once there is a best
 
     # x times column j of the three maps stacked, for every x in F_p: the
     # images of v are then one short sum per target entry.
@@ -451,7 +465,7 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
 
     def beaten(rows: Matrix, k: int) -> bool:
         v = rows[-1]
-        if best is not None and thetas[k][top] <= best.theta:
+        if best is not None and weights[k][top] <= weight:
             # The image of the line through v lies in the image of rows: a
             # lower bound, tried only where its largest value would prune.
             e = line_dims.get(v)
@@ -464,7 +478,7 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
                         line = images[(v,)] = echelon_extend((), image_vectors(v), p)
                     e = len(line)
                 line_dims[v] = e
-            if thetas[k][e] <= best.theta:
+            if weights[k][e] <= weight:
                 return True
         # The walk asks about every prefix of a basis, shortest first, so the
         # image of rows[:-1] is already known: extend it by the image of the
@@ -474,51 +488,23 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
             line = images.get((v,))
             more = image_vectors(v) if line is None else [row for _, row in line]
             basis = images[rows] = echelon_extend(images[rows[:-1]], more, p)
-        return best is not None and thetas[k][len(basis)] <= best.theta
+        return best is not None and weights[k][len(basis)] <= weight
 
     for basis1 in subspaces(rep.field, d1, prune=beaten):
-        w = (len(basis1), len(images[basis1]))
-        if w == (d1, d2):
+        k, e = len(basis1), len(images[basis1])
+        if (k, e) == (d1, d2):
             continue
-        if w == (0, 0):
+        if (k, e) == (0, 0):
             # Any nonzero target subspace completes the zero source; take a line.
             if d2 > 0 and (d1, d2) != (0, 1):
                 line = ((1,) + (0,) * (d2 - 1),)
-                best = SubrepWitness(basis1=(), basis2=line, theta=theta((0, 1)))
+                best, weight = SubrepWitness(basis1=(), basis2=line), weights[0][1]
         else:
             # Unpruned, so it beats the best so far: a new best, its W2 the
             # RREF of the image basis already in the memo.
             basis2 = reduce_echelon(images[basis1], p)
-            best = SubrepWitness(basis1=basis1, basis2=basis2, theta=theta(w))
-    return _verdict(best, theta(rep.d))
-
-
-def _verdict(best: Optional[SubrepWitness], theta_v: int) -> StabilityVerdict:
-    if best is None or best.theta < theta_v:
+            best, weight = SubrepWitness(basis1=basis1, basis2=basis2), weights[k][e]
+    if best is None or weight < 0:
         return StabilityVerdict(status=Stability.STABLE)
-    if best.theta == theta_v:
-        return StabilityVerdict(status=Stability.STRICTLY_SEMISTABLE, witness=best)
-    return StabilityVerdict(status=Stability.UNSTABLE, witness=best)
-
-
-def check_stability_pairs(rep: QuiverRep) -> StabilityVerdict:
-    """Independent oracle: enumerate subrepresentations as raw pairs (W1, W2).
-
-    It accepts what ``check_stability`` accepts (``check_stability_input``).
-    """
-    d1, d2 = check_stability_input(rep.field, rep.d)
-    field = rep.field
-    theta_v = theta(rep.d)
-    best: Optional[SubrepWitness] = None
-    for basis1 in subspaces(field, d1):
-        image = _image_basis(rep, basis1)
-        for basis2 in subspaces(field, d2):
-            w = (len(basis1), len(basis2))
-            if w == (0, 0) or w == (d1, d2):
-                continue
-            if rank(list(basis2) + list(image), field) != len(basis2):
-                continue  # image not contained in W2: not a subrepresentation
-            t = theta(w)
-            if best is None or t > best.theta:
-                best = SubrepWitness(basis1=basis1, basis2=basis2, theta=t)
-    return _verdict(best, theta_v)
+    status = Stability.STRICTLY_SEMISTABLE if weight == 0 else Stability.UNSTABLE
+    return StabilityVerdict(status=status, witness=best)

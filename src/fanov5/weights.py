@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -252,11 +252,3 @@ def reflection_chain(w: Weight) -> ReflectionChain:
             return ReflectionChain(start=w, steps=tuple(steps), singular=False)
         cur = apply_simple_reflection(cur, neg)
         steps.append(ChainStep(reflection=neg, weight=cur))
-
-
-def all_weights(n: int, bound: int) -> Iterator[Weight]:
-    """All weights with coefficients in [-bound, bound], for exhaustive tests."""
-    from itertools import product
-
-    for coeffs in product(range(-bound, bound + 1), repeat=n - 1):
-        yield Weight(n, coeffs)

@@ -180,6 +180,23 @@ class TestQuiver:
         assert code == 0
         assert json.loads(out)["status"] in ("stable", "strictly-semistable", "unstable")
 
+    def test_stability_compares_slopes_off_the_diagonal(self, capsys, tmp_path):
+        # S1 + S1: the sub S1 has the slope of the whole, theta/dim = 5, so
+        # it ties; and theta(1, 0) = 5 < theta(2, 0) = 10 must not make it stable
+        code, out, _ = run_cli(capsys, "quiver", "stability", "--dim", "2", "0", "--field", "2")
+        assert code == 0
+        assert out == (
+            '{"status":"strictly-semistable","theta":10,"witness":'
+            '{"basis1":[[1,0]],"basis2":[],"dims":[1,0],"theta":5}}\n'
+        )
+        # (1, 2) with A = e1, B = e2, C = 0: the only proper subrepresentations
+        # are (0, e), of slope -5 < -5/3; theta(0, 1) = theta(d) is no tie
+        path = tmp_path / "rep.json"
+        path.write_text('{"q":2,"d":[1,2],"A":[[1],[0]],"B":[[0],[1]],"C":[[0],[0]]}', encoding="utf-8")
+        code, out, _ = run_cli(capsys, "quiver", "stability", "--matrices", str(path))
+        assert code == 0
+        assert out == '{"status":"stable","theta":-5,"witness":null}\n'
+
     def test_hom_ext_from_files(self, capsys, tmp_path):
         a = random_rep((1, 0), PrimeField(2), 0)
         b = random_rep((0, 1), PrimeField(2), 0)

@@ -164,7 +164,7 @@ class TestRationalElimination:
 
 
 def reference_rref_fp(rows, field):
-    """Gauss-Jordan over F_p through the field's methods: the elimination the echelon kernel replaced."""
+    """Gauss-Jordan over F_p, inverses by Fermat: the elimination the echelon kernel replaced."""
     m = [list(field.normalize(x) for x in row) for row in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
@@ -174,7 +174,7 @@ def reference_rref_fp(rows, field):
         if pivot is None:
             continue
         m[rk], m[pivot] = m[pivot], m[rk]
-        inv = field.inv(m[rk][col])
+        inv = pow(m[rk][col], field.p - 2, field.p)
         m[rk] = [field.normalize(inv * x) for x in m[rk]]
         for r in range(nrows):
             if r != rk and m[r][col] != 0:

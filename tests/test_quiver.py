@@ -1,27 +1,30 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 from typing import Optional
 
 import pytest
 
 from fanov5 import quiver
-from fanov5.linalg import QQ, PrimeField, count_subspaces, mat_vec, rank, row_space_basis, subspaces
+from fanov5.linalg import QQ, PrimeField, rank, row_space_basis, subspaces
 from fanov5.quiver import (
     ARROWS,
     Stability,
     StabilityVerdict,
     SubrepWitness,
     QuiverRep,
-    _image_basis,
     _in_net_kernel,
     _net_kernels,
     check_stability,
-    check_stability_pairs,
+    check_stability_input,
     direct_sum,
     euler_form,
     hom_ext,
+    king_weight,
     make_rep,
     moduli_dim,
     random_rep,
@@ -33,6 +36,58 @@ F2 = PrimeField(2)
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 MISSING = object()  # a payload value that stands for a deleted key
+
+
+def mat_vec(m, v, field):
+    return tuple(field.normalize(sum(a * b for a, b in zip(row, v))) for row in m)
+
+
+def count_subspaces(p, n):
+    """Total number of subspaces of F_p^n (sum of Gaussian binomials)."""
+    total = 0
+    for k in range(n + 1):
+        num = den = 1
+        for i in range(k):
+            num *= p ** (n - i) - 1
+            den *= p ** (k - i) - 1
+        total += num // den
+    return total
+
+
+def image_basis(rep, basis1):
+    """RREF basis of A(W1) + B(W1) + C(W1) for W1 spanned by ``basis1``."""
+    vectors = [mat_vec(m, v, rep.field) for v in basis1 for m in rep.maps]
+    return row_space_basis(vectors, rep.field)
+
+
+def verdict_of(best, rep):
+    """King's verdict from the witness of largest weight, ``None`` if there is none."""
+    if best is None or king_weight(best.dims, rep.d) < 0:
+        return StabilityVerdict(status=Stability.STABLE)
+    tie = king_weight(best.dims, rep.d) == 0
+    return StabilityVerdict(status=Stability.STRICTLY_SEMISTABLE if tie else Stability.UNSTABLE, witness=best)
+
+
+def check_stability_pairs(rep):
+    """Independent oracle: enumerate subrepresentations as raw pairs (W1, W2).
+
+    It accepts what ``check_stability`` accepts (``check_stability_input``)
+    and keeps the first pair of largest King weight.
+    """
+    d1, d2 = check_stability_input(rep.field, rep.d)
+    field = rep.field
+    best: Optional[SubrepWitness] = None
+    for basis1 in subspaces(field, d1):
+        image = image_basis(rep, basis1)
+        for basis2 in subspaces(field, d2):
+            w = (len(basis1), len(basis2))
+            if w == (0, 0) or w == (d1, d2):
+                continue
+            if rank(list(basis2) + list(image), field) != len(basis2):
+                continue  # image not contained in W2: not a subrepresentation
+            if best is None or king_weight(w, rep.d) > king_weight(best.dims, rep.d):
+                best = SubrepWitness(basis1=basis1, basis2=basis2)
+    return verdict_of(best, rep)
 
 
 class TestEulerForm:
@@ -80,6 +135,30 @@ class TestTheta:
             b = (rng.randint(0, 9), rng.randint(0, 9))
             s = (a[0] + b[0], a[1] + b[1])
             assert theta(s) == theta(a) + theta(b)
+
+
+class TestKingWeight:
+    def test_closed_form_and_slope(self):
+        # the weight is (w1 + w2)(d1 + d2) times the slope difference mu(w) - mu(d)
+        for d in product(range(6), repeat=2):
+            for w in product(range(d[0] + 1), range(d[1] + 1)):
+                weight = king_weight(w, d)
+                assert weight == 10 * (d[1] * w[0] - d[0] * w[1])
+                if w != (0, 0) and d != (0, 0):
+                    gap = Fraction(theta(w), sum(w)) - Fraction(theta(d), sum(d))
+                    assert weight == gap * sum(w) * sum(d)
+
+    def test_diagonal_is_a_multiple_of_theta(self):
+        for r in range(1, 6):
+            for w in product(range(r + 1), repeat=2):
+                assert king_weight(w, (r, r)) == 2 * r * theta(w)
+
+    def test_zero_at_the_whole_and_falls_with_the_target(self):
+        for d in product(range(6), repeat=2):
+            assert king_weight(d, d) == 0
+            for k in range(d[0] + 1):
+                for e in range(d[1]):
+                    assert king_weight((k, e), d) - king_weight((k, e + 1), d) == 10 * d[0]
 
 
 class TestModuliDim:
@@ -314,30 +393,26 @@ def reference_candidates(rep):
     d1, d2 = rep.d
     assert isinstance(field, PrimeField)
     for basis1 in reference_subspaces(field, d1):
-        basis2 = _image_basis(rep, basis1)
+        basis2 = image_basis(rep, basis1)
         w = (len(basis1), len(basis2))
         if w == (0, 0):
             # Any nonzero target subspace completes the zero source; take a line.
             if d2 > 0 and (d1, d2) != (0, 1):
                 line = row_space_basis([(1,) + (0,) * (d2 - 1)], field)
-                yield SubrepWitness(basis1=(), basis2=line, theta=-5)
+                yield SubrepWitness(basis1=(), basis2=line)
             continue
         if w == (d1, d2):
             continue
-        yield SubrepWitness(basis1=basis1, basis2=basis2, theta=theta(w))
+        yield SubrepWitness(basis1=basis1, basis2=basis2)
 
 
 def reference_check_stability(rep):
-    theta_v = theta(rep.d)
+    """The first candidate of largest King weight, and the verdict its weight gives."""
     best: Optional[SubrepWitness] = None
     for cand in reference_candidates(rep):
-        if best is None or cand.theta > best.theta:
+        if best is None or king_weight(cand.dims, rep.d) > king_weight(best.dims, rep.d):
             best = cand
-    if best is None or best.theta < theta_v:
-        return StabilityVerdict(status=Stability.STABLE)
-    if best.theta == theta_v:
-        return StabilityVerdict(status=Stability.STRICTLY_SEMISTABLE, witness=best)
-    return StabilityVerdict(status=Stability.UNSTABLE, witness=best)
+    return verdict_of(best, rep)
 
 
 def stability_corpus():
@@ -412,7 +487,7 @@ class TestPrunedSearch:
             assert fast.status == slow.status
             assert (fast.witness is None) == (slow.witness is None)
             if fast.witness is not None:
-                assert fast.witness.theta == slow.witness.theta
+                assert king_weight(fast.witness.dims, rep.d) == king_weight(slow.witness.dims, rep.d)
 
         check()
 
@@ -512,7 +587,7 @@ class TestWitnesses:
             else:
                 # a zero W1 has a zero image; the witness takes the first coordinate line
                 assert w.basis2 == ((1,) + (0,) * (d2 - 1),), rep.to_json()
-            assert w.theta == theta(w.dims), rep.to_json()
+            assert king_weight(w.dims, rep.d) >= 0, rep.to_json()
             witnesses += 1
         assert witnesses > 300
 
@@ -595,7 +670,7 @@ class TestStability:
             slow = check_stability_pairs(rep)
             assert fast.status == slow.status, (d, seed)
             if fast.witness is not None:
-                assert fast.witness.theta == slow.witness.theta
+                assert king_weight(fast.witness.dims, d) == king_weight(slow.witness.dims, d)
 
     def test_agreement_on_f3(self):
         for seed in range(25):
@@ -628,7 +703,7 @@ class TestStability:
     def test_stable_endomorphisms_form_a_field(self):
         # End(V) of a stable V is a division algebra (Schur), over F_p a field
         # F_{p^k} (Wedderburn).  So hom(V, V) = k, and V1, V2 are F_{p^k}-spaces:
-        # k divides d1 and d2.  King stability asks theta(d) = 0, so d = (r, r).
+        # k divides d1 and d2.  On the diagonal d = (r, r) that leaves k | r.
         rng = random.Random(31)
         stable = 0
         for field in (F2, F3, F5):
@@ -641,6 +716,19 @@ class TestStability:
                     assert k >= 1 and r % k == 0, rep.to_json()
                     stable += 1
         assert stable > 200
+        # Off the diagonal King's slope test also has stable points; where
+        # gcd(d1, d2) = 1, k divides 1, so End(V) is the field itself.
+        rng = random.Random(32)
+        stable = 0
+        for field in (F2, F3, F5):
+            for d in ((1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2)):
+                assert gcd(*d) == 1
+                for _ in range(10):
+                    rep = random_rep(d, field, rng.randrange(10**6))
+                    if check_stability(rep).status is Stability.STABLE:
+                        assert hom_ext(rep, rep)[0] == 1, rep.to_json()
+                        stable += 1
+        assert stable > 100
 
     def test_zero_rep_rejected(self):
         # a stable representation is nonzero; moduli_dim rejects (0, 0) too
@@ -657,6 +745,91 @@ class TestStability:
             check_stability(zero_rep(PrimeField(7), (1, 1)))
         with pytest.raises(ValueError):
             check_stability(random_rep((1, 1), QQ, 0))
+
+
+def gl_order(n, q):
+    """|GL_n(F_q)| = (q^n - 1)(q^n - q)...(q^n - q^(n-1))."""
+    out = 1
+    for i in range(n):
+        out *= q**n - q**i
+    return out
+
+
+def semistable_count(d, q):
+    """Semistable representations of dimension d over F_q, by Reineke's HN recursion.
+
+    Reineke 2003 (Invent. Math. 152): with G_e = GL_e1 x GL_e2 and P_e =
+    q^(3 e1 e2) / |G_e(F_q)| the number of representations over |G_e|,
+
+        P_e = sum over HN types e = e^1 + ... + e^s, slopes strictly falling,
+              of q^-(sum over k < l of <e^l, e^k>) * prod of P^sst_{e^k},
+
+    and the s = 1 term is P^sst_e.  Peeling off the first piece e^1 = s
+    leaves a type of e - s whose slopes all lie below mu(s), and the pairs
+    with k = 1 add up to <e - s, s>.
+    """
+    def slope(e):
+        return Fraction(theta(e), e[0] + e[1])
+
+    def parts(e):
+        return [s for s in product(range(e[0] + 1), range(e[1] + 1)) if s != (0, 0)]
+
+    def first_piece(e, s):
+        # the HN types of e that start with the semistable piece s
+        rest = (e[0] - s[0], e[1] - s[1])
+        return sst(s) * below(rest, slope(s)) / Fraction(q) ** euler_form(rest, s)
+
+    @lru_cache(maxsize=None)
+    def sst(e):
+        whole = Fraction(q ** (ARROWS * e[0] * e[1]), gl_order(e[0], q) * gl_order(e[1], q))
+        return whole - sum(first_piece(e, s) for s in parts(e) if s != e)
+
+    @lru_cache(maxsize=None)
+    def below(e, bound):
+        # the HN types of e whose first slope is below ``bound``; one, empty, for e = 0
+        if e == (0, 0):
+            return Fraction(1)
+        return sum(first_piece(e, s) for s in parts(e) if slope(s) < bound)
+
+    count = sst(d) * gl_order(d[0], q) * gl_order(d[1], q)
+    assert count.denominator == 1
+    return int(count)
+
+
+def census(d, field):
+    """Verdict counts of ``check_stability`` over every representation of dimension d."""
+    d1, d2 = d
+    counts = Counter()
+    for entries in product(field.elements(), repeat=ARROWS * d1 * d2):
+        flat = iter(entries)
+        maps = [[[next(flat) for _ in range(d1)] for _ in range(d2)] for _ in range(ARROWS)]
+        counts[check_stability(make_rep(field, d, *maps)).status] += 1
+    return counts
+
+
+# Every d <= (4,4) with at most 2^12 representations over F2: 3 d1 d2 <= 12.
+CENSUS_DIMS = [d for d in product(range(5), repeat=2) if d != (0, 0) and ARROWS * d[0] * d[1] <= 12]
+
+
+class TestCensus:
+    def test_recursion_reproduces_known_counts(self):
+        known = {(1, 1): 7, (1, 2): 42, (2, 1): 42, (1, 3): 168, (3, 1): 168, (1, 4): 0, (4, 1): 0, (2, 2): 3780}
+        assert {d: semistable_count(d, 2) for d in known} == known
+        # a representation with a zero vertex is a sum of simples: semistable, one of them
+        assert all(semistable_count(d, q) == 1 for d in ((1, 0), (0, 3), (4, 0)) for q in (2, 3))
+        # over F3 at (2,2): 531,441 representations, too many for a tier-1 census
+        assert semistable_count((2, 2), 3) == 526032
+
+    @pytest.mark.parametrize("d", CENSUS_DIMS, ids="{0[0]}-{0[1]}".format)
+    def test_f2_census_matches_recursion(self, d):
+        counts = census(d, F2)
+        semistable = semistable_count(d, 2)
+        assert counts[Stability.STABLE] + counts[Stability.STRICTLY_SEMISTABLE] == semistable, counts
+        if gcd(*d) == 1:
+            # no proper subrepresentation can tie the slope, so semistable is stable
+            assert counts[Stability.STABLE] == semistable, counts
+        if d == (2, 2):
+            assert [counts[s] for s in Stability] == [1092, 2688, 316]
 
 
 class TestRandomRep:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +8,6 @@ from fanov5.weights import (
     DominantizationResult,
     EpsVector,
     Weight,
-    all_weights,
     apply_simple_reflection,
     dominantize,
     from_eps,
@@ -18,6 +17,12 @@ from fanov5.weights import (
     to_eps,
     weyl_dim,
 )
+
+
+def all_weights(n: int, bound: int):
+    """All weights of SL(n) with coefficients in [-bound, bound]."""
+    for coeffs in product(range(-bound, bound + 1), repeat=n - 1):
+        yield Weight(n, coeffs)
 
 
 def eps_oracle(w: Weight) -> tuple[int, ...]:
