@@ -7,13 +7,18 @@ section of codimension c, the Koszul resolution
 
 tensored with E computes H^*(section, E) by pure bookkeeping on the
 hypercohomology page: the term at (p, q) is binom(c,p) * h^q(Gr, E(-p))
-and lands in restricted degree q - p.  Page terms in the same degree can
-never hit each other with a differential, so when no differential between
-nonzero terms is possible at all the table is forced (status ``EXACT``).
-Isolated two-term first differentials (adjacent p, equal q) are resolved
-by maximal-rank cancellation only when explicitly asked for (status
-``GENERIC_ASSUMED``); any other pattern is honestly reported as
-``NEEDS_MAPS``, since dimensions alone cannot decide it.
+and lands in restricted degree q - p.  The codimension runs over
+0..dim Gr, and c = 0 is the ambient space itself: one column p = 0 whose
+terms are the Borel-Weil-Bott table.
+
+The differential d_r takes (p, q) to (p - r, q - r + 1), so a term can
+only meet a term one restricted degree higher at a smaller p.  When no
+two nonzero terms are joined that way the table is forced (status
+``EXACT``); a one-column page always is.  Isolated two-term first
+differentials (adjacent p, equal q) are resolved by maximal-rank
+cancellation only when explicitly asked for (status ``GENERIC_ASSUMED``);
+any other pattern is honestly reported as ``NEEDS_MAPS``, since
+dimensions alone cannot decide it.
 
 A page is built from a twist ladder, the tables h^*(Gr, E(-p)) for
 p = 0..c, and resolved from the page alone.  The Ulrich check needs the
@@ -70,14 +75,18 @@ class RestrictionResult:
         return self.status is not RestrictionStatus.NEEDS_MAPS
 
 
-def _check_codim(b: EquivariantBundle, c: int, lowest: int) -> None:
-    if not lowest <= c <= b.dim_space:
-        raise ValueError(f"codimension {c} out of range {lowest}..{b.dim_space}")
+def _check_codim(b: EquivariantBundle, c: int) -> None:
+    if not 0 <= c <= b.dim_space:
+        raise ValueError(f"codimension {c} out of range 0..{b.dim_space}")
 
 
 def koszul_page(b: EquivariantBundle, c: int) -> KoszulPage:
-    """First page for restricting ``b`` across a codimension-c linear section."""
-    _check_codim(b, c, 1)
+    """First page for restricting ``b`` across a codimension-c linear section.
+
+    At c = 0 the section is the ambient space: one column p = 0 holding
+    h^*(Gr, E).
+    """
+    _check_codim(b, c)
     return _page([cohomology(twist(b, -p)) for p in range(c + 1)])
 
 
@@ -92,53 +101,50 @@ def _page(tables: list[CohomologyTable]) -> KoszulPage:
     return KoszulPage(codim=c, terms=tuple(terms))
 
 
-def _differential_exists(src: tuple[int, int], dst: tuple[int, int]) -> bool:
-    # d_r moves (p, q) -> (p - r, q - r + 1); any r >= 1 raises q - p by one.
-    r = src[0] - dst[0]
-    return r >= 1 and src[1] - dst[1] == r - 1
-
-
 def restrict_cohomology(
     b: EquivariantBundle, c: int, assume_generic: bool = False
 ) -> RestrictionResult:
     """Cohomology of ``b`` restricted to a generic codimension-c linear section.
 
-    Returns the page always; the table only when the collapse is forced
-    (EXACT) or when ``assume_generic`` resolves isolated two-term first
-    differentials at maximal rank (GENERIC_ASSUMED).
+    ``c`` runs over 0..dim Gr; c = 0 is the ambient space, whose one-column
+    page is always EXACT with the Borel-Weil-Bott dimensions.  Returns the
+    page always; the table only when the collapse is forced (EXACT) or when
+    ``assume_generic`` resolves isolated two-term first differentials at
+    maximal rank (GENERIC_ASSUMED).
     """
     return _resolve(koszul_page(b, c), b.dim_space - c, assume_generic)
 
 
 def _resolve(page: KoszulPage, dim_section: int, assume_generic: bool) -> RestrictionResult:
-    """Resolve ``page`` into a table on a section of dimension ``dim_section``."""
-    terms = [[p, q, d] for (p, q), d in page.terms]
+    """Resolve ``page`` into a table on a section of dimension ``dim_section``.
 
+    The one rule, in restricted degrees: d_r takes (p, q) to (p - r, q - r + 1),
+    so a term can only meet a term one degree higher at a smaller p.  The
+    terms are keyed by (p, q), which is unique on a page: each column is one
+    Borel-Weil-Bott table, with at most one entry.  A one-column page (c = 0,
+    the ambient space) joins nothing and is EXACT.
+    """
+    terms = page.as_dict()
     pairs = [
-        (i, j)
-        for i in range(len(terms))
-        for j in range(len(terms))
-        if i != j and _differential_exists(tuple(terms[i][:2]), tuple(terms[j][:2]))
+        (src, dst)
+        for src in terms
+        for dst in terms
+        if dst[0] < src[0] and dst[1] - dst[0] == src[1] - src[0] + 1
     ]
-
+    status = RestrictionStatus.EXACT
     if pairs:
-        if not assume_generic:
+        touched = [t for pair in pairs for t in pair]
+        single_d1 = all(src[0] - dst[0] == 1 for src, dst in pairs)
+        if not (assume_generic and single_d1 and len(touched) == len(set(touched))):
             return RestrictionResult(status=RestrictionStatus.NEEDS_MAPS, page=page)
-        single_d1 = all(terms[i][0] - terms[j][0] == 1 for i, j in pairs)
-        touched = [k for pair in pairs for k in pair]
-        disjoint = len(touched) == len(set(touched))
-        if not (single_d1 and disjoint):
-            return RestrictionResult(status=RestrictionStatus.NEEDS_MAPS, page=page)
-        for i, j in pairs:
-            cancel = min(terms[i][2], terms[j][2])
-            terms[i][2] -= cancel
-            terms[j][2] -= cancel
+        for src, dst in pairs:
+            cancel = min(terms[src], terms[dst])
+            terms[src] -= cancel
+            terms[dst] -= cancel
         status = RestrictionStatus.GENERIC_ASSUMED
-    else:
-        status = RestrictionStatus.EXACT
 
     dims: dict[int, int] = {}
-    for p, q, d in terms:
+    for (p, q), d in terms.items():
         if d == 0:
             continue
         deg = q - p
@@ -173,32 +179,26 @@ class UlrichVerdict:
 def ulrich_check(
     b: EquivariantBundle, c: int, assume_generic: bool = False
 ) -> UlrichVerdict:
-    """Test H^*(X, E(-j)) = 0 for j = 1..dim X, X the codim-c section (c=0: ambient).
+    """Test H^*(X, E(-j)) = 0 for j = 1..dim X, X the codimension-c section.
 
-    ``c`` runs over 0..dim of the ambient space, the range of
-    ``koszul_page`` plus the ambient space itself.  A definite nonzero group
-    anywhere defeats the bundle regardless of any unresolved twist, so
-    failures win over indeterminacy; the witness is the first failing (j, i)
-    in lexicographic order.
+    ``c`` runs over 0..dim Gr, the range of ``koszul_page``; c = 0 is the
+    ambient space, and every twist's page is resolved the same way.  A
+    definite nonzero group anywhere defeats the bundle regardless of any
+    unresolved twist, so failures win over indeterminacy; the witness is the
+    first failing (j, i) in lexicographic order.
     """
-    _check_codim(b, c, 0)
+    _check_codim(b, c)
     d = b.dim_space - c
     # tables[t - 1] is h^*(Gr, E(-t)); the page of E(-j) needs t = j..j+c,
     # and j + c <= d + c = dim Gr.
     tables = [cohomology(twist(b, -t)) for t in range(1, b.dim_space + 1)]
     indeterminate = False
     for j in range(1, d + 1):
-        if c == 0:
-            table = tables[j - 1]
-        else:
-            res = _resolve(_page(tables[j - 1 : j + c]), d, assume_generic)
-            if not res.resolved:
-                indeterminate = True
-                continue
-            assert res.table is not None
-            table = res.table
-        if not table.is_zero():
-            i = min(deg for deg, _ in table.entries)
+        res = _resolve(_page(tables[j - 1 : j + c]), d, assume_generic)
+        if res.table is None:
+            indeterminate = True
+        elif not res.table.is_zero():
+            i = min(deg for deg, _ in res.table.entries)
             return UlrichVerdict(status=UlrichStatus.NOT_ULRICH, witness=(j, i))
     if indeterminate:
         return UlrichVerdict(status=UlrichStatus.INDETERMINATE)

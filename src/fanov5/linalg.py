@@ -202,8 +202,6 @@ def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:
 
 def row_space_basis(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
     """Canonical (RREF) basis of the span of the given rows over a prime field."""
-    if not rows:
-        return ()
     reduced, rk = rref(rows, field)
     return reduced[:rk]
 

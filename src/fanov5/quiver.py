@@ -254,9 +254,6 @@ def hom_ext(a: QuiverRep, b: QuiverRep) -> tuple[int, int]:
     b1, b2 = b.d
     dom = a1 * b1 + a2 * b2
     cod = ARROWS * a1 * b2
-    if dom == 0 or cod == 0:
-        # The canonical map has rank 0, so kernel and cokernel are everything.
-        return (dom, cod)
     amaps, bmaps = a.maps, b.maps
     if field == QQ:
         amaps, bmaps = _integral(amaps), _integral(bmaps)

@@ -271,6 +271,19 @@ class TestErrors:
         code, _, err = run_cli(capsys, "restrict", "--bundle", "U", "--codim", "9")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["restrict", "ulrich"])
+    @pytest.mark.parametrize("codim", range(-1, 8))
+    def test_one_codimension_range(self, capsys, command, codim):
+        # 0..dim Gr(2,5) = 0..6 for both commands, the ambient space included
+        code, out, err = run_cli(capsys, command, "--bundle", "U", "--twist", "-2", "--codim", str(codim))
+        if 0 <= codim <= 6:
+            assert code in (0, 2) and err == ""
+        else:
+            assert (code, out) == (1, "")
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "out of range 0..6" in lines[0]
+
     def test_missing_matrices_file(self, capsys):
         code, _, err = run_cli(capsys, "quiver", "stability", "--matrices", "/nonexistent.json")
         assert code == 1

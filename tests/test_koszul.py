@@ -3,12 +3,24 @@ from math import comb
 
 import pytest
 
-from fanov5.bundles import CATALOG_NAMES, EquivariantBundle, catalog, cohomology, twist
+from fanov5.bundles import (
+    CATALOG_NAMES,
+    CohomologyEntry,
+    CohomologyTable,
+    EquivariantBundle,
+    catalog,
+    cohomology,
+    twist,
+)
 from fanov5.checklist import SECTION_TABLES
 from fanov5.koszul import (
+    KoszulPage,
+    RestrictionResult,
     RestrictionStatus,
     UlrichStatus,
     UlrichVerdict,
+    _page,
+    _resolve,
     koszul_page,
     restrict_cohomology,
     ulrich_check,
@@ -51,6 +63,71 @@ def old_ulrich_check(b, c, assume_generic=False):
     return UlrichVerdict(status=UlrichStatus.ULRICH)
 
 
+def catalog_bundles(max_n: int):
+    """Every catalog bundle on Gr(k,n), 3 <= n <= max_n."""
+    for n in range(3, max_n + 1):
+        for k in range(1, n):
+            for name in CATALOG_NAMES:
+                if name == "wedge2Qstar" and k + 2 > n:
+                    continue
+                yield catalog(name, n, k)
+
+
+def reference_differential_exists(src: tuple[int, int], dst: tuple[int, int]) -> bool:
+    # d_r moves (p, q) -> (p - r, q - r + 1); any r >= 1 raises q - p by one.
+    r = src[0] - dst[0]
+    return r >= 1 and src[1] - dst[1] == r - 1
+
+
+def reference_resolve(page: KoszulPage, dim_section: int, assume_generic: bool) -> RestrictionResult:
+    """``_resolve`` before it keyed the terms by (p, q), verbatim but for its name."""
+    terms = [[p, q, d] for (p, q), d in page.terms]
+
+    pairs = [
+        (i, j)
+        for i in range(len(terms))
+        for j in range(len(terms))
+        if i != j and reference_differential_exists(tuple(terms[i][:2]), tuple(terms[j][:2]))
+    ]
+
+    if pairs:
+        if not assume_generic:
+            return RestrictionResult(status=RestrictionStatus.NEEDS_MAPS, page=page)
+        single_d1 = all(terms[i][0] - terms[j][0] == 1 for i, j in pairs)
+        touched = [k for pair in pairs for k in pair]
+        disjoint = len(touched) == len(set(touched))
+        if not (single_d1 and disjoint):
+            return RestrictionResult(status=RestrictionStatus.NEEDS_MAPS, page=page)
+        for i, j in pairs:
+            cancel = min(terms[i][2], terms[j][2])
+            terms[i][2] -= cancel
+            terms[j][2] -= cancel
+        status = RestrictionStatus.GENERIC_ASSUMED
+    else:
+        status = RestrictionStatus.EXACT
+
+    dims: dict[int, int] = {}
+    for p, q, d in terms:
+        if d == 0:
+            continue
+        deg = q - p
+        if not 0 <= deg <= dim_section:
+            raise ArithmeticError(
+                f"surviving page term at (p={p}, q={q}) lands outside degrees "
+                f"0..{dim_section}; the page cannot come from an exact Koszul complex"
+            )
+        dims[deg] = dims.get(deg, 0) + d
+    table = CohomologyTable.from_dict({i: CohomologyEntry(dim=d) for i, d in dims.items()})
+    return RestrictionResult(status=status, page=page, table=table)
+
+
+def resolved_or_error(page, dim_section: int, assume_generic: bool, resolve):
+    try:
+        return resolve(page, dim_section, assume_generic)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
 class TestKoszulPage:
     def test_u_twisted_up(self):
         page = koszul_page(twist(catalog("U"), 1), 3)
@@ -69,10 +146,11 @@ class TestKoszulPage:
         assert page.as_dict() == {(2, 6): 3, (3, 6): 10}
 
     def test_codim_range(self):
-        with pytest.raises(ValueError):
-            koszul_page(catalog("O"), 0)
-        with pytest.raises(ValueError):
-            koszul_page(catalog("O"), 7)
+        # 0..dim Gr: c = 0 is the ambient space, one column at p = 0
+        for c in (-1, 7):
+            with pytest.raises(ValueError, match=f"codimension {c} out of range 0..6"):
+                koszul_page(catalog("O"), c)
+        assert koszul_page(twist(catalog("U"), -5), 0).as_dict() == {(0, 6): 5}
 
 
 class TestRestriction:
@@ -138,6 +216,37 @@ class TestRestriction:
             for deg, _ in res.table.entries:
                 assert 0 <= deg <= 6 - c
 
+    def test_codim_zero_is_borel_weil_bott(self):
+        # the ambient space is the codimension-0 section: always exact, the BWB table
+        checked = 0
+        for base in catalog_bundles(7):
+            for j in range(-12, 13):
+                b = twist(base, j)
+                res = restrict_cohomology(b, 0)
+                assert res.status is RestrictionStatus.EXACT, b.describe()
+                assert res.table.dims() == cohomology(b).dims(), b.describe()
+                checked += 1
+        assert checked == 3375
+
+    def test_resolver_matches_reference(self):
+        # every page of the catalog bundles, twists -12..12, c = 0..dim and both
+        # flags on Gr(k,n), n <= 6, against the index-pair resolver it replaced
+        checked = 0
+        for base in catalog_bundles(6):
+            dim = base.dim_space
+            # ladder[t] is h^*(Gr, E(t - 12 - dim)), so the page of E(j) starts at t = j + 12 + dim
+            ladder = [cohomology(twist(base, t)) for t in range(-12 - dim, 13)]
+            for j in range(-12, 13):
+                top = j + 12 + dim
+                for c in range(dim + 1):
+                    page = _page([ladder[top - p] for p in range(c + 1)])
+                    for generic in (False, True):
+                        expected = resolved_or_error(page, dim - c, generic, reference_resolve)
+                        got = resolved_or_error(page, dim - c, generic, _resolve)
+                        assert got == expected, (base.describe(), j, c, generic)
+                        checked += 1
+        assert checked == 28150
+
     def test_hyperplane_section_table(self):
         # codimension 1: U(-2) picks up its group one degree lower than on Gr
         res = restrict_cohomology(twist(catalog("U"), -4), 1)
@@ -202,18 +311,14 @@ class TestUlrichCheck:
     def test_matches_per_twist_route(self):
         # every codimension and flag, catalog twists -4..4 on Gr(k,n), n <= 5
         checked = 0
-        for n in range(3, 6):
-            for k in range(1, n):
-                for name in CATALOG_NAMES:
-                    if name == "wedge2Qstar" and k + 2 > n:
-                        continue
-                    for j in range(-4, 5):
-                        b = twist(catalog(name, n, k), j)
-                        for c in range(b.dim_space + 1):
-                            for generic in (False, True):
-                                expected = old_ulrich_check(b, c, generic)
-                                assert ulrich_check(b, c, generic) == expected, (b.describe(), c)
-                                checked += 1
+        for base in catalog_bundles(5):
+            for j in range(-4, 5):
+                b = twist(base, j)
+                for c in range(b.dim_space + 1):
+                    for generic in (False, True):
+                        expected = old_ulrich_check(b, c, generic)
+                        assert ulrich_check(b, c, generic) == expected, (b.describe(), c)
+                        checked += 1
         assert checked > 3000
 
     def test_heredity(self):
