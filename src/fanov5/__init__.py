@@ -58,14 +58,11 @@ from .quiver import (
 )
 from .weights import (
     DominantizationResult,
-    EpsVector,
     Weight,
     apply_simple_reflection,
     dominantize,
-    from_eps,
     reflection_chain,
     rho,
-    to_eps,
     weyl_dim,
 )
 
@@ -77,7 +74,6 @@ __all__ = [
     "ChowClass",
     "CohomologyTable",
     "DominantizationResult",
-    "EpsVector",
     "EquivariantBundle",
     "KoszulPage",
     "PrimeField",
@@ -104,7 +100,6 @@ __all__ = [
     "dominantize",
     "euler_form",
     "euler_pairing",
-    "from_eps",
     "hom_ext",
     "koszul_page",
     "moduli_dim",
@@ -113,7 +108,6 @@ __all__ = [
     "restrict_cohomology",
     "rho",
     "theta",
-    "to_eps",
     "todd_v5",
     "twist",
     "twist_class",

@@ -329,11 +329,6 @@ def check_stability_input(field: Field, d) -> DimVector:
     return d
 
 
-def _lines(p: int, n: int) -> int:
-    """Number of lines through 0 in F_p^n."""
-    return (p ** n - 1) // (p - 1)
-
-
 # Kernels of the net's members: the one-dimensional ones as monic vectors,
 # the bigger ones as their member's echelon rows.
 _NetKernels = tuple[set[tuple[int, ...]], list[Echelon]]
@@ -411,9 +406,12 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     pruned once the weight of (k, e) is <= the best weight so far, which is
     lossless too: every extension has an image of dimension >= e, and a
     candidate replaces the best only on a strictly larger weight.  A new
-    best's W2 is that echelon basis brought to RREF.  The zero
-    representation is rejected: it has no proper nonzero subrepresentation,
-    but it is not stable either.
+    best's W2 is that echelon basis brought to RREF.  The search starts from
+    the zero-source witness (0, a line of the target), the first candidate
+    in enumeration order, with weight -10 d1; where it is not proper and
+    nonzero (d2 = 0 or d = (0, 1)) there is no starting witness, and that
+    weight still prunes nothing.  The zero representation is rejected: it
+    has no proper nonzero subrepresentation, but it is not stable either.
 
     Before the image basis of a partial basis is built, the line of its last
     row is tried: its image span(Av, Bv, Cv) lies in the image of W1, so a
@@ -423,18 +421,18 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     (aA + bB + cC)v), so a line in the kernel of no member of the net has a
     3-dim image.  The net's p^2 + p + 1 kernels are computed up front only
     where that is fewer eliminations than folding the image of every source
-    line, (p^d1 - 1)/(p - 1) of them, and where a line can have a 3-dim
-    image at all: the columns of A, B and C, which span A(F_p^d1) +
-    B(F_p^d1) + C(F_p^d1), must span at least 3 dimensions.  Any other
-    line's image is folded directly, once per call, and a partial basis
-    ending in that line is extended by the folded basis rather than by the
-    three raw images.  Every fold stops once the image spans all of F_p^d2
-    (``echelon_extend``).
+    line, (p^d1 - 1)/(p - 1) of them, which holds iff d1 > 3 whatever p,
+    and where a line can have a 3-dim image at all: the columns of A, B and
+    C, which span A(F_p^d1) + B(F_p^d1) + C(F_p^d1), must span at least 3
+    dimensions.  Any other line's image is folded directly, once per call,
+    and a partial basis ending in that line is extended by the folded basis
+    rather than by the three raw images.  Every fold stops once the image
+    spans all of F_p^d2 (``echelon_extend``).
     """
     d1, d2 = check_stability_input(rep.field, rep.d)
     p = rep.field.p
     net = None
-    if _lines(p, ARROWS) < _lines(p, d1):
+    if d1 > ARROWS:
         columns = [col for m in rep.maps for col in zip(*m)]
         if len(echelon_extend((), columns, p)) >= ARROWS:
             net = _net_kernels(rep)
@@ -446,8 +444,11 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
     weights = [[king_weight((k, e), rep.d) for e in range(d2 + 1)] for k in range(d1 + 1)]
     top = min(ARROWS, d2)
 
+    # The walk's first candidate, the zero-source witness, seeds the prune.
     best: Optional[SubrepWitness] = None
-    weight = 0  # the best's weight, read only once there is a best
+    if d2 > 0 and (d1, d2) != (0, 1):
+        best = SubrepWitness(basis1=(), basis2=((1,) + (0,) * (d2 - 1),))
+    weight = king_weight((0, 1), rep.d)
 
     # x times column j of the three maps stacked, for every x in F_p: the
     # images of v are then one short sum per target entry.
@@ -462,7 +463,7 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
 
     def beaten(rows: Matrix, k: int) -> bool:
         v = rows[-1]
-        if best is not None and weights[k][top] <= weight:
+        if weights[k][top] <= weight:
             # The image of the line through v lies in the image of rows: a
             # lower bound, tried only where its largest value would prune.
             e = line_dims.get(v)
@@ -485,22 +486,16 @@ def check_stability(rep: QuiverRep) -> StabilityVerdict:
             line = images.get((v,))
             more = image_vectors(v) if line is None else [row for _, row in line]
             basis = images[rows] = echelon_extend(images[rows[:-1]], more, p)
-        return best is not None and weights[k][len(basis)] <= weight
+        return weights[k][len(basis)] <= weight
 
     for basis1 in subspaces(rep.field, d1, prune=beaten):
         k, e = len(basis1), len(images[basis1])
-        if (k, e) == (d1, d2):
+        if k == 0 or (k, e) == (d1, d2):
             continue
-        if (k, e) == (0, 0):
-            # Any nonzero target subspace completes the zero source; take a line.
-            if d2 > 0 and (d1, d2) != (0, 1):
-                line = ((1,) + (0,) * (d2 - 1),)
-                best, weight = SubrepWitness(basis1=(), basis2=line), weights[0][1]
-        else:
-            # Unpruned, so it beats the best so far: a new best, its W2 the
-            # RREF of the image basis already in the memo.
-            basis2 = reduce_echelon(images[basis1], p)
-            best, weight = SubrepWitness(basis1=basis1, basis2=basis2), weights[k][e]
+        # Unpruned, so it beats the best so far: a new best, its W2 the RREF
+        # of the image basis already in the memo.
+        basis2 = reduce_echelon(images[basis1], p)
+        best, weight = SubrepWitness(basis1=basis1, basis2=basis2), weights[k][e]
     if best is None or weight < 0:
         return StabilityVerdict(status=Stability.STABLE)
     status = Stability.STRICTLY_SEMISTABLE if weight == 0 else Stability.UNSTABLE

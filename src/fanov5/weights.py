@@ -4,9 +4,10 @@ Weights are written in the basis of fundamental weights w_1..w_{n-1}.
 Everything here reduces to bookkeeping on epsilon coordinates
 (z_1,...,z_n), where the simple reflection s_i swaps z_i and z_{i+1}.
 All arithmetic is plain Python integers, so nothing ever overflows.
-The Borel-Weil-Bott path (``dominantize``, ``weyl_dim``) works on a plain
-list of epsilon ints from ``_eps``: it sorts, counts inversions and
-multiplies differences there, and builds one ``Weight`` for the result.
+``_eps`` is the one conversion to epsilon coordinates.  The
+Borel-Weil-Bott path (``dominantize``, ``weyl_dim``) works on its plain
+list of ints: it sorts, counts inversions and multiplies differences
+there, and builds one ``Weight`` for the result.
 
 Conventions:
   * epsilon vectors are normalised so that the last entry is 0 (type-A
@@ -74,24 +75,6 @@ class Weight:
         return out
 
 
-@dataclass(frozen=True)
-class EpsVector:
-    """Epsilon coordinates of a weight, normalised so the last entry is 0."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) < 2:
-            raise ValueError("epsilon vector needs at least 2 entries")
-        if self.entries[-1] != 0:
-            raise ValueError("epsilon vector must be normalised with last entry 0")
-
-    @staticmethod
-    def normalized(entries: Sequence[int]) -> "EpsVector":
-        shift = entries[-1]
-        return EpsVector(tuple(e - shift for e in entries))
-
-
 def fundamental(n: int, i: int) -> Weight:
     """The fundamental weight w_i of SL(n); w_0 and w_n are read as 0."""
     if not 0 <= i <= n:
@@ -114,16 +97,6 @@ def _eps(coeffs: Sequence[int]) -> list[int]:
         z.append(z[-1] + c)
     z.reverse()
     return z
-
-
-def to_eps(w: Weight) -> EpsVector:
-    """Epsilon coordinates: z_j - z_{j+1} = coeffs[j], z_n = 0."""
-    return EpsVector(tuple(_eps(w.coeffs)))
-
-
-def from_eps(e: EpsVector) -> Weight:
-    n = len(e.entries)
-    return Weight(n, tuple(e.entries[j] - e.entries[j + 1] for j in range(n - 1)))
 
 
 def inversions(entries: Sequence[int]) -> int:

@@ -176,3 +176,22 @@ class TestEulerCharacteristic:
             else:
                 chi = cohomology(b).euler_characteristic()
                 assert chi == (-1) ** res.length * abs(chi) and chi != 0
+
+    def test_sign_from_length_property(self):
+        # the seeded loop's rule on Gr(2,5), over a wider range of weights
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coeffs = st.tuples(st.integers(0, 6), st.integers(-12, 6), st.integers(0, 6), st.integers(0, 6))
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(coeffs)
+        def check(c):
+            b = EquivariantBundle(n=5, k=2, weight=Weight(5, c))
+            res = dominantize(b.weight + rho(5))
+            chi = cohomology(b).euler_characteristic()
+            if res.singular:
+                assert chi == 0
+            else:
+                assert chi != 0 and (chi > 0) == (res.length % 2 == 0)
+
+        check()

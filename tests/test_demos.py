@@ -1,4 +1,8 @@
-"""The four narrative demos print exactly their recorded output."""
+"""The four narrative demos print exactly their recorded output.
+
+Each demo runs under ``-W error``: a warning in a demo fails its test,
+since pytest's own warning filters do not reach a subprocess.
+"""
 
 import os
 import subprocess
@@ -25,6 +29,7 @@ def test_every_demo_has_a_golden_file():
 def test_demo_stdout_matches_golden(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120)
+    cmd = [sys.executable, "-W", "error", str(demo)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == golden_for(demo).read_text(encoding="utf-8")

@@ -13,6 +13,7 @@ from fanov5 import quiver
 from fanov5.linalg import QQ, PrimeField, rank, row_space_basis, subspaces
 from fanov5.quiver import (
     ARROWS,
+    STABILITY_FIELDS,
     Stability,
     StabilityVerdict,
     SubrepWitness,
@@ -648,6 +649,22 @@ class TestStability:
     def test_simple_at_vertex_is_stable(self):
         assert check_stability(make_rep(F2, (1, 0), [], [], [])).status is Stability.STABLE
         assert check_stability(make_rep(F2, (0, 1), [[]], [[]], [[]])).status is Stability.STABLE
+
+    # With one vertex zero the only representation is the zero one, and the
+    # verdict rests on the search's starting witness (0, a line of the target),
+    # which exists only where d2 > 0 and d != (0, 1).
+    @pytest.mark.parametrize("p", STABILITY_FIELDS)
+    @pytest.mark.parametrize(
+        "d, status, witness",
+        [
+            ((1, 0), Stability.STABLE, None),
+            ((3, 0), Stability.STRICTLY_SEMISTABLE, SubrepWitness(((1, 0, 0),), ())),
+            ((0, 1), Stability.STABLE, None),
+            ((0, 3), Stability.STRICTLY_SEMISTABLE, SubrepWitness((), ((1, 0, 0),))),
+        ],
+    )
+    def test_one_vertex_zero(self, p, d, status, witness):
+        assert check_stability(zero_rep(PrimeField(p), d)) == StabilityVerdict(status, witness)
 
     def test_most_f5_scalar_triples_stable(self):
         stable = sum(

@@ -6,15 +6,13 @@ import pytest
 from fanov5.bundles import CATALOG_NAMES, catalog, twist
 from fanov5.weights import (
     DominantizationResult,
-    EpsVector,
     Weight,
+    _eps,
     apply_simple_reflection,
     dominantize,
-    from_eps,
     inversions,
     reflection_chain,
     rho,
-    to_eps,
     weyl_dim,
 )
 
@@ -37,29 +35,32 @@ def inversions_oracle(entries) -> int:
     )
 
 
-# The Borel-Weil-Bott routines before they moved to plain epsilon ints,
-# verbatim but for their names and docstrings: the references for the current ones.
-def old_to_eps(w: Weight) -> EpsVector:
+# The Borel-Weil-Bott routines before they moved to plain epsilon ints, with
+# their algorithm kept: the references for the current ones.  Where they built
+# an epsilon vector they return a tuple, and where they shifted the sorted
+# vector and read a weight back off it they take its adjacent differences.
+def old_to_eps(w: Weight) -> tuple[int, ...]:
     """Epsilon coordinates: z_j - z_{j+1} = coeffs[j], z_n = 0."""
     z = [0] * w.n
     for j in range(w.n - 2, -1, -1):
         z[j] = z[j + 1] + w.coeffs[j]
-    return EpsVector(tuple(z))
+    return tuple(z)
 
 
 def old_dominantize(w: Weight) -> DominantizationResult:
-    z = old_to_eps(w).entries
+    z = old_to_eps(w)
     if len(set(z)) < len(z):
         return DominantizationResult(singular=True)
     length = inversions_oracle(z)
-    sorted_eps = EpsVector.normalized(sorted(z, reverse=True))
-    return DominantizationResult(singular=False, length=length, dominant=from_eps(sorted_eps))
+    s = sorted(z, reverse=True)
+    dominant = Weight(w.n, tuple(s[j] - s[j + 1] for j in range(w.n - 1)))
+    return DominantizationResult(singular=False, length=length, dominant=dominant)
 
 
 def old_weyl_dim(shifted: Weight) -> int:
     if not shifted.is_strictly_dominant():
         raise ValueError(f"weyl_dim needs a strictly dominant mu+rho, got {shifted.coeffs}")
-    z = old_to_eps(shifted).entries
+    z = old_to_eps(shifted)
     n = len(z)
     num = 1
     den = 1
@@ -97,36 +98,29 @@ def bwb_corpus():
 class TestAgainstOldRoutines:
     def test_same_results_and_errors(self):
         for w in bwb_corpus():
-            assert to_eps(w) == old_to_eps(w), w
-            assert inversions(to_eps(w).entries) == inversions_oracle(to_eps(w).entries), w
+            z = _eps(w.coeffs)
+            assert tuple(z) == old_to_eps(w), w
+            assert inversions(z) == inversions_oracle(z), w
             assert dominantize(w) == old_dominantize(w), w
             assert outcome(weyl_dim, w) == outcome(old_weyl_dim, w), w
 
 
 class TestEpsCoordinates:
     def test_rho_is_staircase(self):
-        assert to_eps(Weight(5, (1, 1, 1, 1))).entries == (4, 3, 2, 1, 0)
+        assert _eps((1, 1, 1, 1)) == [4, 3, 2, 1, 0]
 
     def test_suffix_sum_example(self):
-        assert to_eps(Weight(5, (2, -1, 1, 1))).entries == (3, 1, 2, 1, 0)
+        assert _eps((2, -1, 1, 1)) == [3, 1, 2, 1, 0]
 
     def test_zero_weight(self):
-        assert to_eps(Weight(5, (0, 0, 0, 0))).entries == (0, 0, 0, 0, 0)
+        assert _eps((0, 0, 0, 0)) == [0, 0, 0, 0, 0]
 
     def test_round_trip_randomized(self):
         rng = random.Random(20240501)
         for _ in range(1000):
             n = rng.randint(2, 8)
             w = Weight(n, tuple(rng.randint(-20, 20) for _ in range(n - 1)))
-            assert from_eps(to_eps(w)) == w
-            assert to_eps(w).entries == eps_oracle(w)
-
-    def test_normalization_kills_uniform_shift(self):
-        assert EpsVector.normalized((7, 4, 5, 4, 3)).entries == (4, 1, 2, 1, 0)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            EpsVector((1, 2, 3))
+            assert tuple(_eps(w.coeffs)) == eps_oracle(w)
 
 
 class TestDominantize:
@@ -147,7 +141,7 @@ class TestDominantize:
     def test_regular_iff_distinct_eps(self):
         for w in all_weights(4, 3):
             res = dominantize(w)
-            z = to_eps(w).entries
+            z = _eps(w.coeffs)
             assert res.singular == (len(set(z)) < len(z))
             if not res.singular:
                 assert res.length == inversions_oracle(z)
@@ -202,7 +196,7 @@ class TestWeylDim:
         @hypothesis.given(weights)
         def check(w):
             res = dominantize(w)
-            z = to_eps(w).entries
+            z = _eps(w.coeffs)
             num = den = 1
             for i, j in combinations(range(len(z)), 2):
                 num *= z[i] - z[j]
@@ -238,11 +232,11 @@ class TestSimpleReflections:
     def test_preserves_eps_multiset(self):
         w = Weight(5, (2, -5, 1, 1))
         for i in range(1, 5):
-            before = sorted(to_eps(w).entries)
-            after = to_eps(apply_simple_reflection(w, i))
+            before = sorted(_eps(w.coeffs))
+            after = _eps(apply_simple_reflection(w, i).coeffs)
             # reflections permute entries up to the uniform normalization shift
-            shift = min(x - y for x, y in zip(sorted(after.entries), before))
-            assert sorted(x - shift for x in after.entries) == before
+            shift = min(x - y for x, y in zip(sorted(after), before))
+            assert sorted(x - shift for x in after) == before
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
