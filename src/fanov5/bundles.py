@@ -11,7 +11,7 @@ equal to the inversion count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .weights import Weight, dominantize, fundamental, weyl_dim
@@ -26,7 +26,8 @@ class EquivariantBundle:
     n: int
     k: int
     weight: Weight
-    label: Optional[str] = None
+    # A name for ``describe``, not part of the bundle: U(+1)(-1) is U.
+    label: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.k <= self.n - 1:

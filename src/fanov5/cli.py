@@ -20,7 +20,7 @@ import sys
 from typing import Any, Callable, Optional, Sequence
 
 from . import bundles, checklist, chow, koszul, quiver
-from .linalg import PrimeField, field_for
+from .linalg import QQ, PrimeField, field_for
 from .weights import reflection_chain, rho
 
 EXIT_OK = 0
@@ -187,10 +187,30 @@ def _load_rep(path: str) -> quiver.QuiverRep:
         return quiver.QuiverRep.from_json(fh.read())
 
 
+def _check_hom_ext_size(rep: quiver.QuiverRep) -> None:
+    """CliError for a representation beyond ``quiver.HOM_EXT_DIM_CAP`` or, over Q, ``HOM_EXT_BITS_CAP``.
+
+    Over Q the bits counted are those of each denominator, and then those
+    of the integers ``hom_ext`` eliminates: the maps times the lcm of their
+    denominators.  The denominators go first, so the lcm is only formed
+    of small ones.
+    """
+    if max(rep.d) > quiver.HOM_EXT_DIM_CAP:
+        raise CliError(f"hom-ext takes dimensions up to {quiver.HOM_EXT_DIM_CAP}, got d = {list(rep.d)}")
+    bits = quiver.HOM_EXT_BITS_CAP
+    if rep.field == QQ and (
+        any(x.denominator.bit_length() > bits for m in rep.maps for row in m for x in row)
+        or any(abs(y).bit_length() > bits for m in quiver._integral(rep.maps) for row in m for y in row)
+    ):
+        raise CliError(f"hom-ext over Q takes denominators and scaled entries of up to {bits} bits")
+
+
 def _hom_ext_json(args) -> dict[str, int]:
     if len(args.matrices) not in (1, 2):
         raise CliError("--matrices takes one or two paths")
     reps = [_load_rep(p) for p in args.matrices]
+    for rep in reps:
+        _check_hom_ext_size(rep)
     h, e = quiver.hom_ext(reps[0], reps[-1])
     return {"hom": h, "ext1": e}
 

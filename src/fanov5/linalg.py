@@ -1,7 +1,12 @@
 """Small exact linear algebra over prime fields and the rationals.
 
 Matrices are tuples of row tuples.  Entries are ints reduced mod p for a
-prime field, or fractions.Fraction over the rationals.  ``echelon`` gives
+prime field, or fractions.Fraction over the rationals.  ``normalize`` is
+the one entry rule, shared with ``quiver.QuiverRep``: over F_p an int
+(not a bool), reduced mod p; over Q an int, a Fraction or a fraction
+string such as "1/2"; anything else is a ValueError.  ``echelon``, and so
+``rank``, ``rref`` and ``row_space_basis``, apply it on entry, except on
+the all-int rows over Q, which need no conversion.  ``echelon`` gives
 the echelon rows of a matrix as (pivot, row) pairs on ints over both
 fields, and ``rank`` is their number.  Over F_p one kernel,
 ``echelon_extend``, folds rows into a semi-echelon basis with monic
@@ -53,8 +58,11 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
-    def normalize(self, x: int) -> int:
-        return int(x) % self.p
+    def normalize(self, x) -> int:
+        """``x`` reduced mod p: an int, not a bool; ValueError naming ``x`` for anything else."""
+        if type(x) is not int:
+            raise ValueError(f"entry {x!r} is not an integer, as entries over F_{self.p} must be")
+        return x % self.p
 
     def elements(self) -> range:
         return range(self.p)
@@ -63,24 +71,29 @@ class PrimeField:
 @dataclass(frozen=True)
 class RationalField:
     def normalize(self, x) -> Fraction:
-        return Fraction(x)
+        """``x`` as a Fraction: an int, a Fraction or a fraction string such as "1/2".
+
+        A bool, a float or anything else is a ValueError naming ``x``.
+        """
+        if type(x) in (int, Fraction, str):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f'entry {x!r} is not an integer, a Fraction or a fraction string such as "1/2"')
 
 
 QQ = RationalField()
 Field = Union[PrimeField, RationalField]
 
 
-def field_for(q: Union[int, str, None]) -> Field:
-    """Field from a JSON-ish tag: a prime, or "rational"/None."""
-    if q is None or q == "rational":
+def field_for(q: Union[int, str]) -> Field:
+    """Field from a JSON-ish tag: a prime, as an int or a digit string, or "rational"."""
+    if q == "rational":
         return QQ
     if isinstance(q, bool) or not isinstance(q, (int, str)) or not str(q).lstrip("-").isdigit():
         raise ValueError(f'field q must be a prime or "rational", got {q!r}')
     return PrimeField(int(q))
-
-
-def matrix(rows: Sequence[Sequence[Entry]], field: Field) -> Matrix:
-    return tuple(tuple(field.normalize(x) for x in row) for row in rows)
 
 
 # Echelon rows: (pivot column, row) pairs on ints, each row zero left of its
@@ -99,7 +112,7 @@ def _fraction_free(rows: Sequence[Sequence[Entry]]) -> Echelon:
     m = []
     for row in rows:
         if any(type(x) is not int for x in row):
-            row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            row = [QQ.normalize(x) for x in row]
             scale = lcm(*(x.denominator for x in row))
             row = [x.numerator * (scale // x.denominator) for x in row]
         m.append(list(row))
@@ -154,8 +167,8 @@ def echelon_extend(basis: Echelon, vectors: Sequence[Sequence[int]], p: int) -> 
     return tuple(out)
 
 
-def _echelon_fp(rows: Sequence[Sequence[Entry]], p: int) -> Echelon:
-    return echelon_extend((), [[int(x) % p for x in row] for row in rows], p)
+def _echelon_fp(rows: Sequence[Sequence[Entry]], field: PrimeField) -> Echelon:
+    return echelon_extend((), [[field.normalize(x) for x in row] for row in rows], field.p)
 
 
 def reduce_echelon(basis: Echelon, p: int) -> Matrix:
@@ -182,7 +195,7 @@ def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank over a prime field."""
     if not isinstance(field, PrimeField):
         raise TypeError("rref needs a prime field; over Q only rank is provided")
-    m = reduce_echelon(_echelon_fp(rows, field.p), field.p)
+    m = reduce_echelon(_echelon_fp(rows, field), field.p)
     zero = (0,) * (len(rows[0]) if rows else 0)
     return m + (zero,) * (len(rows) - len(m)), len(m)
 
@@ -193,7 +206,7 @@ def echelon(rows: Sequence[Sequence[Entry]], field: Field) -> Echelon:
         return ()
     if isinstance(field, RationalField):
         return _fraction_free(rows)
-    return _echelon_fp(rows, field.p)
+    return _echelon_fp(rows, field)
 
 
 def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:

@@ -1,7 +1,8 @@
 """The 2-vertex, 3-arrow quiver: Euler form, Hom/Ext, King stability.
 
-Representations are triples of d2 x d1 matrices over an exact field.  The
-Euler form of the path algebra is
+Representations are triples of d2 x d1 matrices over an exact field, with
+entries taken by ``Field.normalize`` whether they come from Python or from
+a JSON file.  The Euler form of the path algebra is
 
     <a, b> = a1*b1 + a2*b2 - 3*a1*b2 = dim Hom - dim Ext^1,
 
@@ -43,11 +44,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from random import Random
-from typing import Optional, Union
+from typing import Optional
 
 from .linalg import (
     Echelon,
@@ -58,7 +58,6 @@ from .linalg import (
     echelon,
     echelon_extend,
     field_for,
-    matrix,
     rank,
     reduce_echelon,
     subspaces,
@@ -72,6 +71,15 @@ DimVector = tuple[int, int]
 STABILITY_FIELDS = (2, 3, 5)
 STABILITY_DIM_CAP = 4
 RANDOM_DIM_CAP = 200
+# What `fanov5 quiver hom-ext` accepts, chosen from measured times so that
+# the slowest accepted pair ends in about a second: two (6,6)
+# representations over Q with 24-bit entries take 0.8 s (Python 3.11,
+# shared x86 machine), 32-bit entries 1.2 s, and (7,7) takes 2.2 s already
+# at 16 bits.  Over Q the bits are those of each denominator and of the maps
+# scaled to integers, as ``hom_ext`` eliminates them.  Over F_p a (6,6) pair
+# takes 15 ms even for the largest supported p.  ``hom_ext`` itself has no cap.
+HOM_EXT_DIM_CAP = 6
+HOM_EXT_BITS_CAP = 24
 
 
 def euler_form(a: DimVector, b: DimVector) -> int:
@@ -111,7 +119,15 @@ def moduli_dim(d: DimVector) -> int:
 
 @dataclass(frozen=True)
 class QuiverRep:
-    """Representation: three d2 x d1 matrices A, B, C over ``field``."""
+    """Representation: three d2 x d1 matrices A, B, C over ``field``.
+
+    The maps may be given as any lists or tuples of rows; each entry goes
+    through ``field.normalize``, the same rule a file goes through, and the
+    maps are stored as tuples of tuples, so equal representations compare
+    and hash equal.  ValueError names ``d`` or the map at fault: the
+    dimension vector is checked first, then every map's shape, then the
+    entries.
+    """
 
     field: Field
     d: DimVector
@@ -121,25 +137,27 @@ class QuiverRep:
 
     def __post_init__(self):
         d1, d2 = dim_vector(self.d)
-        for name in ("A", "B", "C"):
-            m = getattr(self, name)
-            if len(m) != d2 or any(len(row) != d1 for row in m):
+        for name, m in zip("ABC", self.maps):
+            shaped = isinstance(m, (list, tuple)) and len(m) == d2
+            if not (shaped and all(isinstance(r, (list, tuple)) and len(r) == d1 for r in m)):
                 raise ValueError(f"map {name} must be {d2}x{d1}")
+        object.__setattr__(self, "d", (d1, d2))
+        norm = self.field.normalize
+        for name, m in zip("ABC", self.maps):
+            try:
+                object.__setattr__(self, name, tuple([tuple([norm(x) for x in row]) for row in m]))
+            except ValueError as exc:
+                raise ValueError(f"map {name}: {exc}") from None
 
     @property
     def maps(self) -> tuple[Matrix, Matrix, Matrix]:
         return (self.A, self.B, self.C)
 
     def to_json(self) -> str:
-        tag: Union[int, str]
         tag = self.field.p if isinstance(self.field, PrimeField) else "rational"
-        payload = {
-            "q": tag,
-            "d": list(self.d),
-            "A": [[_entry_json(x) for x in row] for row in self.A],
-            "B": [[_entry_json(x) for x in row] for row in self.B],
-            "C": [[_entry_json(x) for x in row] for row in self.C],
-        }
+        payload = {"q": tag, "d": list(self.d)}
+        for name, m in zip("ABC", self.maps):
+            payload[name] = [[int(x) if x.denominator == 1 else str(x) for x in row] for row in m]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
@@ -150,39 +168,17 @@ class QuiverRep:
         missing = [key for key in ("q", "d", "A", "B", "C") if key not in payload]
         if missing:
             raise ValueError(f"representation is missing key {missing[0]!r}")
-        field = field_for(payload["q"])
-        d = dim_vector(payload["d"])
-        mats = []
-        for name in ("A", "B", "C"):
-            rows = payload[name]
-            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-                raise ValueError(f"map {name} must be a list of lists, got {rows!r}")
-            mats.append([[_entry_parse(x, name, field) for x in row] for row in rows])
-        return make_rep(field, d, *mats)
+        return QuiverRep(field_for(payload["q"]), payload["d"], payload["A"], payload["B"], payload["C"])
 
 
-def _entry_json(x) -> Union[int, str]:
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else int(x)
-    return int(x)
-
-
-def _entry_parse(x, name: str, field: Field):
-    if isinstance(x, str) and field == QQ:
-        return Fraction(x)
-    if type(x) is not int:
-        raise ValueError(f"map {name} has entry {x!r}; entries are integers, or fraction strings over Q")
-    return x
-
-
-def make_rep(field: Field, d: DimVector, A, B, C) -> QuiverRep:
-    return QuiverRep(field=field, d=d, A=matrix(A, field), B=matrix(B, field), C=matrix(C, field))
+# The constructor normalises its entries, so it is the builder too.
+make_rep = QuiverRep
 
 
 def zero_rep(field: Field, d: DimVector) -> QuiverRep:
     d1, d2 = d
     z = [[0] * d1 for _ in range(d2)]
-    return make_rep(field, d, z, z, z)
+    return QuiverRep(field, d, z, z, z)
 
 
 def random_rep(d: DimVector, field: Field, seed: int) -> QuiverRep:
@@ -198,12 +194,10 @@ def random_rep(d: DimVector, field: Field, seed: int) -> QuiverRep:
     rng = Random(seed)
 
     def draw():
-        if isinstance(field, PrimeField):
-            return rng.randrange(field.p)
-        return Fraction(rng.randint(-9, 9))
+        return rng.randrange(field.p) if isinstance(field, PrimeField) else rng.randint(-9, 9)
 
     mats = [[[draw() for _ in range(d1)] for _ in range(d2)] for _ in range(ARROWS)]
-    return make_rep(field, (d1, d2), *mats)
+    return QuiverRep(field, (d1, d2), *mats)
 
 
 def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
@@ -218,7 +212,7 @@ def direct_sum(x: QuiverRep, y: QuiverRep) -> QuiverRep:
         for row in my:
             rows.append([0] * x.d[0] + list(row))
         mats.append(rows)
-    return make_rep(x.field, d, *mats)
+    return QuiverRep(x.field, d, *mats)
 
 
 def hom_ext(a: QuiverRep, b: QuiverRep) -> tuple[int, int]:

@@ -73,11 +73,18 @@ class TestTwist:
         assert twist(catalog("O"), 0) == catalog("O")
 
     def test_inverse(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            b = catalog(rng.choice(CATALOG_NAMES))
-            a = rng.randint(-10, 10)
-            assert twist(twist(b, a), -a).weight == b.weight
+        for name in CATALOG_NAMES:
+            b = catalog(name)
+            for a in range(-10, 11):
+                back = twist(twist(b, a), -a)
+                assert back == b and hash(back) == hash(b), (name, a)
+
+    def test_twists_compose(self):
+        # bundles compare by weight; the label only names them
+        u = catalog("U")
+        assert twist(u, 2) == twist(twist(u, 1), 1)
+        assert hash(twist(u, 2)) == hash(twist(twist(u, 1), 1))
+        assert twist(twist(u, 1), 1).describe() == "U(+1)(+1) on Gr(2,5)"
 
     def test_line_bundle_weight(self):
         # O(1) is the fundamental weight at the marked node

@@ -377,6 +377,13 @@ class TestMalformedInput:
             (("bwb", "--bundle", "Ustar", "--n", "1000", "--k", "500"), None),
             # the size cap is checked before anything is drawn
             (("quiver", "random", "--dim", "100000", "100000", "--field", "2"), None),
+            # hom-ext bounds the dimensions, and over Q the entries' bits: these would run for minutes
+            (("quiver", "hom-ext", "--matrices"), {"q": "rational", "d": [10, 10], **dict.fromkeys("ABC", [[1] * 10] * 10)}),
+            (("quiver", "hom-ext", "--matrices"), {"q": "rational", "d": [3, 3], **dict.fromkeys("ABC", [[int("9" * 4000)] * 3] * 3)}),
+            (
+                ("quiver", "hom-ext", "--matrices"),
+                {"q": "rational", "d": [3, 3], **dict.fromkeys("ABC", [[f"1/{3 ** 8000}", f"1/{5 ** 5700}", 1]] * 3)},
+            ),
         ],
     )
     def test_one_error_line(self, tmp_path, argv, payload):
@@ -403,7 +410,7 @@ class TestMalformedInput:
     )
     def test_group_format_says_where_it_goes(self, argv, example):
         proc = subprocess.run(
-            [sys.executable, "-m", "fanov5.cli", *argv], capture_output=True, text=True
+            [sys.executable, "-m", "fanov5.cli", *argv], capture_output=True, text=True, timeout=5
         )
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: --format goes after the leaf command, for example `{example}`\n"
@@ -427,8 +434,35 @@ class TestMalformedInput:
             [sys.executable, "-m", "fanov5.cli", "quiver", "hom-ext", "--matrices", str(path)],
             capture_output=True,
             text=True,
+            timeout=5,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: map A must be 0x2\n")
+
+    @pytest.mark.parametrize(
+        "field, d, first_row, accepted",
+        [
+            (5, [6, 6], [4] * 6, True),
+            (5, [7, 6], [4] * 7, False),
+            (5, [0, 7], [], False),
+            ("rational", [2, 2], [2 ** 24 - 1, 0], True),
+            ("rational", [2, 2], [2 ** 24, 0], False),
+            # over the common denominator 15, 2^22/5 is 3 * 2^22 (24 bits) and 2^23/5 is 25 bits
+            ("rational", [2, 2], ["1/3", f"{2 ** 22}/5"], True),
+            ("rational", [2, 2], ["1/3", f"{2 ** 23}/5"], False),
+            ("rational", [2, 2], [f"1/{2 ** 24}", 0], False),
+        ],
+    )
+    def test_hom_ext_caps(self, capsys, tmp_path, field, d, first_row, accepted):
+        d1, d2 = d
+        zero = [[0] * d1 for _ in range(d2)]
+        payload = {"q": field, "d": d, "A": [first_row] + zero[1:], "B": zero, "C": zero}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        code, out, err = run_cli(capsys, "quiver", "hom-ext", "--matrices", str(path))
+        if accepted:
+            assert code == 0 and set(json.loads(out)) == {"hom", "ext1"}
+        else:
+            assert (code, out) == (1, "") and err.startswith("error: hom-ext ")
 
 
 class TestCliFuzz:
@@ -644,6 +678,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "fanov5.cli", "quiver", "moduli-dim", "--dim", "2", "2"],
         capture_output=True,
         text=True,
+        timeout=5,
     )
     assert proc.returncode == 0
     assert proc.stdout == "5\n"

@@ -310,7 +310,31 @@ class TestPrimeField:
                 accepted = False
             assert accepted == prime, n
 
-    @pytest.mark.parametrize("q", ["x", 2.5, True, [3], "1/2"])
+    @pytest.mark.parametrize("q", ["x", 2.5, True, [3], "1/2", None])
     def test_field_tag_rejected(self, q):
         with pytest.raises(ValueError):
             field_for(q)
+
+
+class TestEntryRule:
+    """The eliminations take the entries a representation takes, by ``Field.normalize``."""
+
+    def test_rank_refuses_a_float_over_fp(self):
+        # int(0.5) % 5 is 0: coercing the entry made this a silent rank 0
+        with pytest.raises(ValueError, match="0.5"):
+            rank([[0.5]], PrimeField(5))
+
+    @pytest.mark.parametrize("entry", [0.5, 2.0, True, "3", Fraction(1, 2), Fraction(2), None])
+    @pytest.mark.parametrize("eliminate", [rank, echelon, rref, row_space_basis])
+    def test_prime_field_refuses(self, eliminate, entry):
+        with pytest.raises(ValueError):
+            eliminate([[1, entry]], PrimeField(5))
+
+    @pytest.mark.parametrize("entry", [0.1, 2.0, True, "x", "1/0", None])
+    def test_rational_refuses(self, entry):
+        with pytest.raises(ValueError):
+            rank([[1, entry]], QQ)
+
+    def test_rational_takes_fraction_strings(self):
+        assert rank([["1/2", 1], [1, Fraction(2)]], QQ) == 1
+        assert rank([[-3, 7]], PrimeField(5)) == 1

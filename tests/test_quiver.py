@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -888,6 +889,8 @@ class TestJsonRoundTrip:
             # a zero dimension still checks the shape of every map
             ({"d": [2, 0]}, "map A must be 0x2"),
             ({"d": [0, 2]}, "map A must be 2x0"),
+            # the field tag is a prime or "rational"; null is neither
+            ({"q": None}, "q"),
         ],
     )
     def test_malformed_payload_names_key(self, change, key):
@@ -911,3 +914,66 @@ class TestJsonRoundTrip:
         assert payload["q"] == 2
         payload = json.loads(random_rep((1, 1), QQ, 0).to_json())
         assert payload["q"] == "rational"
+
+
+# An entry and its normal form over F2, F5 and Q, or ValueError where the
+# entry is refused.  One rule holds for make_rep, QuiverRep and from_json.
+ENTRY_RULE = [
+    (-3, 1, 2, Fraction(-3)),
+    (7, 1, 2, Fraction(7)),
+    (True, ValueError, ValueError, ValueError),
+    (2.0, ValueError, ValueError, ValueError),
+    (0.1, ValueError, ValueError, ValueError),
+    ("3", ValueError, ValueError, Fraction(3)),
+    ("1/2", ValueError, ValueError, Fraction(1, 2)),
+    (Fraction(1, 2), ValueError, ValueError, Fraction(1, 2)),
+    (Fraction(2), ValueError, ValueError, Fraction(2)),
+    (None, ValueError, ValueError, ValueError),
+]
+ENTRY_CASES = [
+    pytest.param(entry, field, expected, id=f"{entry!r}-{name}")
+    for entry, *normal in ENTRY_RULE
+    for name, field, expected in zip(("F2", "F5", "Q"), (F2, F5, QQ), normal)
+]
+
+
+class TestEntryRule:
+    @staticmethod
+    def maps(entry):
+        # the entry sits in C; A and B are plain ints
+        return [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[1, 1], [entry, 0]]
+
+    @pytest.mark.parametrize("entry, field, expected", ENTRY_CASES)
+    def test_every_route_applies_one_rule(self, entry, field, expected):
+        routes = [
+            lambda: make_rep(field, (2, 2), *self.maps(entry)),
+            lambda: QuiverRep(field, (2, 2), *self.maps(entry)),
+        ]
+        if not isinstance(entry, Fraction):
+            tag = field.p if isinstance(field, PrimeField) else "rational"
+            a, b, c = self.maps(entry)
+            text = json.dumps({"q": tag, "d": [2, 2], "A": a, "B": b, "C": c})
+            routes.append(lambda: QuiverRep.from_json(text))
+        if expected is ValueError:
+            for route in routes:
+                with pytest.raises(ValueError, match="map C"):
+                    route()
+            return
+        normal = QuiverRep(field, (2, 2), *self.maps(expected))
+        for route in routes:
+            rep = route()
+            assert rep == normal and hash(rep) == hash(normal)
+            assert rep.C[1][0] == expected and type(rep.C[1][0]) is type(expected)
+            assert isinstance(rep.d, tuple) and all(type(row) is tuple for m in rep.maps for row in m)
+
+    def test_direct_construction_normalises(self):
+        seven = QuiverRep(F5, (1, 1), [[7]], [[0]], [[0]])
+        two = make_rep(F5, (1, 1), [[2]], [[0]], [[0]])
+        assert seven == two and hash(seven) == hash(two)
+        assert seven.to_json() == two.to_json() == '{"A":[[2]],"B":[[0]],"C":[[0]],"d":[1,1],"q":5}'
+
+    def test_shape_is_checked_before_entries(self):
+        with pytest.raises(ValueError, match="map B must be 1x1"):
+            make_rep(F5, (1, 1), [[None]], [[0, 0]], [[0]])
+        with pytest.raises(ValueError, match="map A must be 1x1"):
+            make_rep(F5, (1, 1), 5, [[0]], [[0]])
