@@ -42,7 +42,7 @@ def _ambient(name: str, j: int) -> tuple[dict[int, int], list[str]]:
 
 def _chain(coeffs: tuple[int, ...]) -> tuple[bool, list[tuple[int, tuple[int, ...]]]]:
     """(singular, [(reflection, weight after it)]) from the Gr(2,5) weight ``coeffs``."""
-    chain = reflection_chain(Weight(5, coeffs))
+    chain = reflection_chain(Weight(coeffs))
     return chain.singular, [(s.reflection, s.weight.coeffs) for s in chain.steps]
 
 

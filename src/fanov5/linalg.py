@@ -6,12 +6,13 @@ the one entry rule, shared with ``quiver.QuiverRep``: over F_p an int
 (not a bool), reduced mod p; over Q an int, a Fraction or a fraction
 string such as "1/2"; anything else is a ValueError.  ``echelon``, and so
 ``rank``, ``rref`` and ``row_space_basis``, apply it on entry, except on
-the all-int rows over Q, which need no conversion.  ``echelon`` gives
-the echelon rows of a matrix as (pivot, row) pairs on ints over both
-fields, and ``rank`` is their number.  Over F_p one kernel,
-``echelon_extend``, folds rows into a semi-echelon basis with monic
-pivots until it spans the whole space, and ``reduce_echelon`` sorts it by
-pivot and clears above the pivots, which gives rref.  Over Q each row is
+the all-int rows over Q, which need no conversion; they also refuse rows
+of unequal length.  ``echelon`` gives the echelon rows of a matrix as
+(pivot, row) pairs on ints over both fields, and ``rank`` is their
+number.  Over F_p one kernel, ``echelon_extend``, folds rows into a
+semi-echelon basis with monic pivots until it spans the whole space, and
+``reduce_echelon`` sorts it by pivot and clears above the pivots, which
+gives rref.  Over Q each row is
 scaled to integers and eliminated fraction-free over Z (Bareiss, Math.
 Comp. 22, 1968), below the pivots only, so no Fraction is built; the pivot
 rows are the echelon.
@@ -167,10 +168,6 @@ def echelon_extend(basis: Echelon, vectors: Sequence[Sequence[int]], p: int) -> 
     return tuple(out)
 
 
-def _echelon_fp(rows: Sequence[Sequence[Entry]], field: PrimeField) -> Echelon:
-    return echelon_extend((), [[field.normalize(x) for x in row] for row in rows], field.p)
-
-
 def reduce_echelon(basis: Echelon, p: int) -> Matrix:
     """The RREF basis of the span of a semi-echelon ``basis`` over F_p.
 
@@ -195,18 +192,22 @@ def rref(rows: Sequence[Sequence[Entry]], field: Field) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank over a prime field."""
     if not isinstance(field, PrimeField):
         raise TypeError("rref needs a prime field; over Q only rank is provided")
-    m = reduce_echelon(_echelon_fp(rows, field), field.p)
+    m = reduce_echelon(echelon(rows, field), field.p)
     zero = (0,) * (len(rows[0]) if rows else 0)
     return m + (zero,) * (len(rows) - len(m)), len(m)
 
 
 def echelon(rows: Sequence[Sequence[Entry]], field: Field) -> Echelon:
-    """Echelon rows spanning the row space of ``rows``: monic over F_p, Bareiss over Q."""
-    if not rows or not rows[0]:
-        return ()
+    """Echelon rows spanning the row space of ``rows``: monic over F_p, Bareiss over Q.
+
+    ValueError when the rows differ in length: folding zips them, which
+    would silently drop the longer rows' tails.
+    """
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"rows of unequal length {sorted(set(map(len, rows)))}")
     if isinstance(field, RationalField):
-        return _fraction_free(rows)
-    return _echelon_fp(rows, field)
+        return _fraction_free(rows) if rows else ()
+    return echelon_extend((), [[field.normalize(x) for x in row] for row in rows], field.p)
 
 
 def rank(rows: Sequence[Sequence[Entry]], field: Field) -> int:

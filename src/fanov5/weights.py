@@ -1,6 +1,9 @@
 """Integral weights and Weyl-group combinatorics for SL(n).
 
-Weights are written in the basis of fundamental weights w_1..w_{n-1}.
+Weights are written in the basis of fundamental weights w_1..w_{n-1}, and
+a ``Weight`` holds nothing else: n is the number of coefficients plus
+one, so a weight cannot disagree with its group.  Each coefficient must
+be an int (not a bool), the entry rule of ``linalg.PrimeField.normalize``.
 Everything here reduces to bookkeeping on epsilon coordinates
 (z_1,...,z_n), where the simple reflection s_i swaps z_i and z_{i+1}.
 All arithmetic is plain Python integers, so nothing ever overflows.
@@ -26,30 +29,34 @@ from typing import Optional, Sequence
 
 @dataclass(frozen=True)
 class Weight:
-    """An integral SL(n) weight, coefficients on w_1..w_{n-1}."""
+    """An integral SL(n) weight, coefficients on w_1..w_{n-1}; n is their number plus one."""
 
-    n: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"rank n must be >= 2, got {self.n}")
-        if len(self.coeffs) != self.n - 1:
-            raise ValueError(
-                f"need {self.n - 1} coefficients for SL({self.n}), got {len(self.coeffs)}"
-            )
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        coeffs = tuple(self.coeffs)
+        if not coeffs:
+            raise ValueError("a weight needs at least one coefficient: SL(n) has n >= 2")
+        for c in coeffs:
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an integer, as weight coefficients must be")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def n(self) -> int:
+        return len(self.coeffs) + 1
 
     def __add__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(self.n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_rank(other)
-        return Weight(self.n, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def _check_rank(self, other: "Weight") -> None:
-        if self.n != other.n:
+        # zip would silently drop the longer weight's tail
+        if len(self.coeffs) != len(other.coeffs):
             raise ValueError(f"rank mismatch: SL({self.n}) vs SL({other.n})")
 
     def is_strictly_dominant(self) -> bool:
@@ -82,12 +89,12 @@ def fundamental(n: int, i: int) -> Weight:
     coeffs = [0] * (n - 1)
     if 1 <= i <= n - 1:
         coeffs[i - 1] = 1
-    return Weight(n, tuple(coeffs))
+    return Weight(tuple(coeffs))
 
 
 def rho(n: int) -> Weight:
     """Sum of the fundamental weights, coefficients all 1."""
-    return Weight(n, (1,) * (n - 1))
+    return Weight((1,) * (n - 1))
 
 
 def _eps(coeffs: Sequence[int]) -> list[int]:
@@ -109,20 +116,22 @@ class DominantizationResult:
     """Outcome of sorting lambda+rho into the dominant chamber.
 
     Either singular (two epsilon coordinates tie, no Weyl element makes the
-    weight strictly dominant), or regular with the sorting element's length
-    and the strictly dominant image w(lambda+rho).
+    weight strictly dominant, and both fields are None), or regular with the
+    sorting element's length and the strictly dominant image w(lambda+rho).
     """
 
-    singular: bool
     length: Optional[int] = None
     dominant: Optional[Weight] = None
 
     def __post_init__(self):
-        if not self.singular:
-            if self.length is None or self.dominant is None:
-                raise ValueError("regular result needs length and dominant weight")
-            if not self.dominant.is_strictly_dominant():
-                raise ValueError(f"dominantization produced {self.dominant}, not strictly dominant")
+        if (self.length is None) != (self.dominant is None):
+            raise ValueError("a dominant weight comes with its length")
+        if self.dominant is not None and not self.dominant.is_strictly_dominant():
+            raise ValueError(f"dominantization produced {self.dominant}, not strictly dominant")
+
+    @property
+    def singular(self) -> bool:
+        return self.dominant is None
 
 
 def dominantize(w: Weight) -> DominantizationResult:
@@ -134,10 +143,9 @@ def dominantize(w: Weight) -> DominantizationResult:
     """
     z = _eps(w.coeffs)
     if len(set(z)) < len(z):
-        return DominantizationResult(singular=True)
+        return DominantizationResult()
     s = sorted(z, reverse=True)
-    dominant = Weight(w.n, tuple(map(sub, s, s[1:])))
-    return DominantizationResult(singular=False, length=inversions(z), dominant=dominant)
+    return DominantizationResult(length=inversions(z), dominant=Weight(tuple(map(sub, s, s[1:]))))
 
 
 def weyl_dim(shifted: Weight) -> int:
@@ -177,7 +185,7 @@ def apply_simple_reflection(w: Weight, i: int) -> Weight:
         c[i - 2] += a
     if i <= w.n - 2:
         c[i] += a
-    return Weight(w.n, tuple(c))
+    return Weight(tuple(c))
 
 
 @dataclass(frozen=True)
@@ -197,7 +205,6 @@ class ReflectionChain:
 
     start: Weight
     steps: tuple[ChainStep, ...]
-    singular: bool
 
     @property
     def final(self) -> Weight:
@@ -206,6 +213,10 @@ class ReflectionChain:
     @property
     def length(self) -> int:
         return len(self.steps)
+
+    @property
+    def singular(self) -> bool:
+        return 0 in self.final.coeffs
 
 
 def reflection_chain(w: Weight) -> ReflectionChain:
@@ -217,11 +228,10 @@ def reflection_chain(w: Weight) -> ReflectionChain:
     """
     steps: list[ChainStep] = []
     cur = w
-    while True:
-        if any(c == 0 for c in cur.coeffs):
-            return ReflectionChain(start=w, steps=tuple(steps), singular=True)
+    while 0 not in cur.coeffs:
         neg = next((idx for idx, c in enumerate(cur.coeffs, start=1) if c < 0), None)
         if neg is None:
-            return ReflectionChain(start=w, steps=tuple(steps), singular=False)
+            break
         cur = apply_simple_reflection(cur, neg)
         steps.append(ChainStep(reflection=neg, weight=cur))
+    return ReflectionChain(start=w, steps=tuple(steps))

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -61,9 +62,24 @@ class TestCatalog:
         assert u.weight.coeffs == (-1, 0, 0)
         assert bundle_rank(u) == 1
 
+    def test_fields(self):
+        # the group is the weight's: a bundle cannot disagree with it
+        assert [f.name for f in fields(EquivariantBundle)] == ["k", "weight", "label"]
+        assert catalog("Q", n=7, k=3).n == 7
+
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_marked_node_must_be_an_int(self, k):
+        # a float node passed, then bundle_rank and twist raised TypeError
+        with pytest.raises(ValueError, match=f"marked node {k!r} is not an integer"):
+            EquivariantBundle(k=k, weight=Weight((1, 0, 0, 0)))
+
+    def test_wedge2qstar_needs_room(self):
+        with pytest.raises(ValueError, match="fundamental weight index 4 out of range for SL\\(3\\)"):
+            catalog("wedge2Qstar", n=3, k=2)
+
     def test_p_dominance_enforced(self):
         with pytest.raises(ValueError):
-            EquivariantBundle(n=5, k=2, weight=Weight(5, (-1, 0, 0, 0)))
+            EquivariantBundle(k=2, weight=Weight((-1, 0, 0, 0)))
 
 
 class TestTwist:
@@ -122,7 +138,7 @@ class TestCohomology:
         for _ in range(300):
             coeffs = [rng.randint(0, 4) for _ in range(4)]
             coeffs[1] = rng.randint(-9, 5)
-            b = EquivariantBundle(n=5, k=2, weight=Weight(5, tuple(coeffs)))
+            b = EquivariantBundle(k=2, weight=Weight(tuple(coeffs)))
             table = cohomology(b)
             assert len(table.entries) <= 1
             for deg, entry in table.entries:
@@ -176,7 +192,7 @@ class TestEulerCharacteristic:
         for _ in range(200):
             coeffs = [rng.randint(0, 3) for _ in range(4)]
             coeffs[1] = rng.randint(-8, 3)
-            b = EquivariantBundle(n=5, k=2, weight=Weight(5, tuple(coeffs)))
+            b = EquivariantBundle(k=2, weight=Weight(tuple(coeffs)))
             res = dominantize(b.weight + rho(5))
             if res.singular:
                 assert cohomology(b).euler_characteristic() == 0
@@ -193,7 +209,7 @@ class TestEulerCharacteristic:
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(coeffs)
         def check(c):
-            b = EquivariantBundle(n=5, k=2, weight=Weight(5, c))
+            b = EquivariantBundle(k=2, weight=Weight(c))
             res = dominantize(b.weight + rho(5))
             chi = cohomology(b).euler_characteristic()
             if res.singular:

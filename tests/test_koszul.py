@@ -174,7 +174,7 @@ class TestRestriction:
     def test_generic_cancellation_between_in_range_terms(self):
         # a d1 joins two terms that both land in degrees 0..dim, so the
         # dimensions alone leave the map open
-        b = EquivariantBundle(n=5, k=2, weight=Weight(5, (0, -4, 0, 3)))
+        b = EquivariantBundle(k=2, weight=Weight((0, -4, 0, 3)))
         res = restrict_cohomology(b, 1)
         assert res.status is RestrictionStatus.NEEDS_MAPS
         assert res.page.as_dict() == {(0, 4): 5, (1, 4): 10}

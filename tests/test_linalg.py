@@ -330,6 +330,18 @@ class TestEntryRule:
         with pytest.raises(ValueError):
             eliminate([[1, entry]], PrimeField(5))
 
+    # folding zipped rows of unequal length over F_p: rank 1 and () came back
+    @pytest.mark.parametrize("rows", [[[0, 1], [1]], [[], [1]]], ids=["short-row", "empty-row"])
+    @pytest.mark.parametrize(
+        "eliminate, field",
+        [(rank, PrimeField(5)), (echelon, PrimeField(5)), (rref, PrimeField(5)),
+         (row_space_basis, PrimeField(5)), (rank, QQ), (echelon, QQ)],
+        ids=["rank-F5", "echelon-F5", "rref-F5", "row_space_basis-F5", "rank-Q", "echelon-Q"],
+    )
+    def test_ragged_rows_refused(self, eliminate, field, rows):
+        with pytest.raises(ValueError, match="rows of unequal length"):
+            eliminate(rows, field)
+
     @pytest.mark.parametrize("entry", [0.1, 2.0, True, "x", "1/0", None])
     def test_rational_refuses(self, entry):
         with pytest.raises(ValueError):

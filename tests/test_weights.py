@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from itertools import combinations, product
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fanov5.bundles import CATALOG_NAMES, catalog, twist
 from fanov5.weights import (
     DominantizationResult,
+    ReflectionChain,
     Weight,
     _eps,
     apply_simple_reflection,
@@ -20,7 +22,7 @@ from fanov5.weights import (
 def all_weights(n: int, bound: int):
     """All weights of SL(n) with coefficients in [-bound, bound]."""
     for coeffs in product(range(-bound, bound + 1), repeat=n - 1):
-        yield Weight(n, coeffs)
+        yield Weight(coeffs)
 
 
 def eps_oracle(w: Weight) -> tuple[int, ...]:
@@ -50,11 +52,11 @@ def old_to_eps(w: Weight) -> tuple[int, ...]:
 def old_dominantize(w: Weight) -> DominantizationResult:
     z = old_to_eps(w)
     if len(set(z)) < len(z):
-        return DominantizationResult(singular=True)
+        return DominantizationResult()
     length = inversions_oracle(z)
     s = sorted(z, reverse=True)
-    dominant = Weight(w.n, tuple(s[j] - s[j + 1] for j in range(w.n - 1)))
-    return DominantizationResult(singular=False, length=length, dominant=dominant)
+    dominant = Weight(tuple(s[j] - s[j + 1] for j in range(w.n - 1)))
+    return DominantizationResult(length=length, dominant=dominant)
 
 
 def old_weyl_dim(shifted: Weight) -> int:
@@ -92,7 +94,7 @@ def bwb_corpus():
                     continue
                 for j in range(-12, 13):
                     b = twist(catalog(name, n, k), j)
-                    yield Weight(n, tuple(c + 1 for c in b.weight.coeffs))
+                    yield Weight(tuple(c + 1 for c in b.weight.coeffs))
 
 
 class TestAgainstOldRoutines:
@@ -119,23 +121,23 @@ class TestEpsCoordinates:
         rng = random.Random(20240501)
         for _ in range(1000):
             n = rng.randint(2, 8)
-            w = Weight(n, tuple(rng.randint(-20, 20) for _ in range(n - 1)))
+            w = Weight(tuple(rng.randint(-20, 20) for _ in range(n - 1)))
             assert tuple(_eps(w.coeffs)) == eps_oracle(w)
 
 
 class TestDominantize:
     def test_singular_low_twist(self):
         # lambda + rho for the tautological subbundle twisted by -1
-        assert dominantize(Weight(5, (2, -1, 1, 1))).singular
+        assert dominantize(Weight((2, -1, 1, 1))).singular
 
     def test_regular_deep_twist(self):
-        res = dominantize(Weight(5, (2, -5, 1, 1)))
+        res = dominantize(Weight((2, -5, 1, 1)))
         assert not res.singular
         assert res.length == 6
         assert res.dominant.coeffs == (1, 1, 1, 2)
 
     def test_already_dominant(self):
-        res = dominantize(Weight(5, (1, 1, 1, 1)))
+        res = dominantize(Weight((1, 1, 1, 1)))
         assert (res.singular, res.length, res.dominant.coeffs) == (False, 0, (1, 1, 1, 1))
 
     def test_regular_iff_distinct_eps(self):
@@ -147,13 +149,13 @@ class TestDominantize:
                 assert res.length == inversions_oracle(z)
 
     def test_antidominant_has_longest_length(self):
-        res = dominantize(Weight(5, (-1, -1, -1, -1)))
+        res = dominantize(Weight((-1, -1, -1, -1)))
         assert res.length == 10  # n(n-1)/2 for n=5
 
     def test_dominant_is_strictly_dominant(self):
         rng = random.Random(7)
         for _ in range(300):
-            w = Weight(5, tuple(rng.randint(-8, 8) for _ in range(4)))
+            w = Weight(tuple(rng.randint(-8, 8) for _ in range(4)))
             res = dominantize(w)
             if not res.singular:
                 assert all(c >= 1 for c in res.dominant.coeffs)
@@ -161,34 +163,34 @@ class TestDominantize:
 
 class TestWeylDim:
     def test_standard_rep(self):
-        assert weyl_dim(Weight(5, (2, 1, 1, 1))) == 5
+        assert weyl_dim(Weight((2, 1, 1, 1))) == 5
 
     def test_third_wedge(self):
-        assert weyl_dim(Weight(5, (1, 1, 2, 1))) == 10
+        assert weyl_dim(Weight((1, 1, 2, 1))) == 10
 
     def test_trivial_rep(self):
-        assert weyl_dim(Weight(5, (1, 1, 1, 1))) == 1
+        assert weyl_dim(Weight((1, 1, 1, 1))) == 1
 
     def test_rejects_walls(self):
         with pytest.raises(ValueError):
-            weyl_dim(Weight(5, (1, 0, 1, 1)))
+            weyl_dim(Weight((1, 0, 1, 1)))
 
     def test_sl2_closed_form(self):
         for a in range(0, 30):
-            assert weyl_dim(Weight(2, (a + 1,))) == a + 1
+            assert weyl_dim(Weight((a + 1,))) == a + 1
 
     def test_sl3_closed_form(self):
         for a in range(0, 8):
             for b in range(0, 8):
                 expected = (a + 1) * (b + 1) * (a + b + 2) // 2
-                assert weyl_dim(Weight(3, (a + 1, b + 1))) == expected
+                assert weyl_dim(Weight((a + 1, b + 1))) == expected
 
     def test_invariant_under_dominantization(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         weights = st.integers(2, 7).flatmap(
             lambda n: st.lists(st.integers(-8, 8), min_size=n - 1, max_size=n - 1).map(
-                lambda c: Weight(n, tuple(c))
+                lambda c: Weight(tuple(c))
             )
         )
 
@@ -216,21 +218,21 @@ class TestWeylDim:
 
 class TestSimpleReflections:
     def test_step_onto_wall(self):
-        assert apply_simple_reflection(Weight(5, (2, -1, 1, 1)), 2).coeffs == (1, 1, 0, 1)
+        assert apply_simple_reflection(Weight((2, -1, 1, 1)), 2).coeffs == (1, 1, 0, 1)
 
     def test_deep_twist_first_step(self):
-        assert apply_simple_reflection(Weight(5, (2, -5, 1, 1)), 2).coeffs == (-3, 5, -4, 1)
+        assert apply_simple_reflection(Weight((2, -5, 1, 1)), 2).coeffs == (-3, 5, -4, 1)
 
     def test_involution(self):
         rng = random.Random(1234)
         for _ in range(200):
             n = rng.randint(2, 7)
-            w = Weight(n, tuple(rng.randint(-9, 9) for _ in range(n - 1)))
+            w = Weight(tuple(rng.randint(-9, 9) for _ in range(n - 1)))
             i = rng.randint(1, n - 1)
             assert apply_simple_reflection(apply_simple_reflection(w, i), i) == w
 
     def test_preserves_eps_multiset(self):
-        w = Weight(5, (2, -5, 1, 1))
+        w = Weight((2, -5, 1, 1))
         for i in range(1, 5):
             before = sorted(_eps(w.coeffs))
             after = _eps(apply_simple_reflection(w, i).coeffs)
@@ -240,7 +242,7 @@ class TestSimpleReflections:
 
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_simple_reflection(Weight(5, (1, 1, 1, 1)), 5)
+            apply_simple_reflection(Weight((1, 1, 1, 1)), 5)
 
 
 class TestReflectionChain:
@@ -248,7 +250,7 @@ class TestReflectionChain:
         rng = random.Random(31337)
         for _ in range(300):
             n = rng.randint(2, 6)
-            w = Weight(n, tuple(rng.randint(-7, 7) for _ in range(n - 1)))
+            w = Weight(tuple(rng.randint(-7, 7) for _ in range(n - 1)))
             chain = reflection_chain(w)
             res = dominantize(w)
             assert chain.singular == res.singular
@@ -263,13 +265,13 @@ class TestReflectionChain:
                 assert cur == res.dominant
 
     def test_singular_chain_stops_on_wall(self):
-        chain = reflection_chain(Weight(5, (2, -1, 1, 1)))
+        chain = reflection_chain(Weight((2, -1, 1, 1)))
         assert chain.singular
         assert [s.reflection for s in chain.steps] == [2]
         assert chain.final.coeffs == (1, 1, 0, 1)
 
     def test_six_step_chain(self):
-        chain = reflection_chain(Weight(5, (2, -5, 1, 1)))
+        chain = reflection_chain(Weight((2, -5, 1, 1)))
         assert [(s.reflection, s.weight.coeffs) for s in chain.steps] == [
             (2, (-3, 5, -4, 1)),
             (1, (3, 2, -4, 1)),
@@ -290,3 +292,40 @@ def test_inversions_matches_oracle():
 def test_rho_helper():
     assert rho(5).coeffs == (1, 1, 1, 1)
     assert rho(3).coeffs == (1, 1)
+
+
+class TestWeightHoldsOnlyItsCoefficients:
+    def test_fields(self):
+        assert [f.name for f in fields(Weight)] == ["coeffs"]
+        assert [f.name for f in fields(DominantizationResult)] == ["length", "dominant"]
+        assert [f.name for f in fields(ReflectionChain)] == ["start", "steps"]
+
+    def test_group_from_coefficient_count(self):
+        assert Weight((0, 0, 0, 0)).n == 5
+        assert Weight([3]).n == 2
+        with pytest.raises(AttributeError):
+            Weight((1, 1)).n = 4
+
+    def test_no_coefficients_refused(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            Weight(())
+
+    @pytest.mark.parametrize("bad", [1.5, True, "3"])
+    def test_coefficient_must_be_an_int(self, bad):
+        # int() used to coerce these: 1.5 became w1, and cohomology then read {0: 5}
+        with pytest.raises(ValueError, match=f"coefficient {bad!r} is not an integer"):
+            Weight((bad, 0, 0, 0))
+
+    def test_rank_mismatch_refused(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            Weight((1, 1)) + Weight((1, 1, 1))
+
+    def test_singular_is_no_dominant_weight(self):
+        assert DominantizationResult().singular
+        assert not DominantizationResult(length=0, dominant=rho(3)).singular
+        with pytest.raises(ValueError, match="comes with its length"):
+            DominantizationResult(dominant=rho(3))
+        with pytest.raises(ValueError, match="comes with its length"):
+            DominantizationResult(length=1)
+        with pytest.raises(ValueError, match="not strictly dominant"):
+            DominantizationResult(length=0, dominant=Weight((1, 0)))
